@@ -5,16 +5,15 @@ two ways and reports end-to-end packets/second for each:
 
 * **reference** -- what every pass cost before this data plane existed:
   regenerate the mix from the traffic generators, round-trip it through
-  the v1 per-record codec loops (``Trace._write``/``Trace._read``, kept
-  in-tree as the reference implementation), replay it through eager
-  per-record scheduling (``mode="scheduled"``), and score every packet on
-  the baseline anomaly path.
+  the v1 per-record codec loops, replay it through eager per-record
+  scheduling, and score every packet with the reference anomaly scorer
+  (all from :mod:`tests.oracles`).
 * **fast** -- the shipped path: the mix is generated once into a
   :class:`repro.eval.corpus.TraceCorpus` (cold pass), every later pass
   loads the stored ``.rtrc`` through the batched mmap decoder (the
   corpus's in-memory share is cleared between passes so each warm pass
   models a fresh pool worker hitting the disk corpus), replays it through
-  the single-cursor batched mode, and scores on the fast anomaly path.
+  the single engine cursor, and scores with ``AnomalyEngine.inspect``.
 
 The run *gates on transcript equality first*: both pipelines must produce
 identical pid-free transcripts -- ``(packet index, feature, score)`` per
@@ -62,6 +61,15 @@ from repro.net.address import IPv4Address
 from repro.net.trace import Trace
 from repro.sim.engine import Engine
 
+try:
+    from tests.oracles.anomaly import ReferenceAnomalyScorer
+    from tests.oracles.trace import read_v1, scheduled_replay, write_v1
+except ImportError:
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    from tests.oracles.anomaly import ReferenceAnomalyScorer
+    from tests.oracles.trace import read_v1, scheduled_replay, write_v1
+
 #: Sensitivities the equality gate replays the traffic at.  0.5 is the
 #: battery default; the others move the detection threshold across several
 #: of the anomaly features' score plateaus in both directions.
@@ -102,20 +110,21 @@ def build_mix(packets: int, seed: int) -> Trace:
 # ----------------------------------------------------------------------
 # one pass: train, freeze, replay, score
 # ----------------------------------------------------------------------
-def score_trace(trace: Trace, path: str, replay_mode: str,
-                sensitivity: float):
+def score_trace(trace: Trace, sensitivity: float, reference: bool):
     """Pid-free transcript of one product pass over ``trace``.
 
     Trains the anomaly baseline on the leading ``TRAIN_FRACTION`` of the
     mix, freezes, then replays the whole trace through the simulation
-    engine in ``replay_mode`` and inspects every delivered packet on the
-    anomaly ``path``.
+    engine and inspects every delivered packet -- with ``Trace.replay``
+    and ``AnomalyEngine.inspect``, or with the reference scheduler and
+    scorer when ``reference`` is set.
     """
-    anomaly = AnomalyEngine(sensitivity=sensitivity, path=path)
+    anomaly = AnomalyEngine(sensitivity=sensitivity)
     records = list(trace)
     for t, pkt in records[:max(int(len(records) * TRAIN_FRACTION), 1)]:
         anomaly.train(pkt, t)
     anomaly.freeze()
+    scorer = ReferenceAnomalyScorer(anomaly) if reference else anomaly
 
     sim = Engine()
     transcript = []
@@ -123,36 +132,37 @@ def score_trace(trace: Trace, path: str, replay_mode: str,
 
     def sink(pkt) -> None:
         nonlocal index
-        for feature, score in anomaly.inspect(pkt, sim.now):
+        for feature, score in scorer.inspect(pkt, sim.now):
             transcript.append((index, feature, score))
         index += 1
 
-    trace.replay(sim, sink, mode=replay_mode)
+    if reference:
+        scheduled_replay(trace, sim, sink)
+    else:
+        trace.replay(sim, sink)
     sim.run()
     return transcript
 
 
 def reference_pass(packets: int, seed: int, sensitivity: float = 0.5):
-    """Regenerate + v1 loop codec + scheduled replay + baseline anomaly."""
+    """Regenerate + v1 loop codec + scheduled replay + reference anomaly."""
     mix = build_mix(packets, seed)
     buf = io.BytesIO()
-    mix._write(buf)          # the kept-in-tree v1 reference codec
+    write_v1(mix, buf)
     buf.seek(0)
-    mix = Trace._read(buf, "bench-mix")
-    return score_trace(mix, path="baseline", replay_mode="scheduled",
-                       sensitivity=sensitivity)
+    mix = read_v1(buf, "bench-mix")
+    return score_trace(mix, sensitivity, reference=True)
 
 
 def fast_pass(corpus: TraceCorpus, packets: int, seed: int,
               sensitivity: float = 0.5):
     """Corpus fetch (batched mmap decode when warm) + batched replay +
-    fast anomaly.  The in-memory share is cleared first so every warm
+    production anomaly scoring.  The in-memory share is cleared first so every warm
     pass models a fresh pool worker reading the disk corpus."""
     corpus._memory.clear()
     mix = corpus.trace("bench-mix", (packets, seed),
                        lambda: build_mix(packets, seed))
-    return score_trace(mix, path="fast", replay_mode="batched",
-                       sensitivity=sensitivity)
+    return score_trace(mix, sensitivity, reference=False)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +230,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="evaluation data-plane speedup: trace corpus + batched "
                     "codec/replay + fast anomaly vs regenerate + loop codec "
-                    "+ scheduled replay + baseline anomaly, gated on "
+                    "+ scheduled replay + reference anomaly, gated on "
                     "identical scoring transcripts")
     parser.add_argument("--packets", type=int, default=30000,
                         help="mixed-trace size per pass")
@@ -254,7 +264,7 @@ def main(argv=None) -> int:
         fast_pps = total / best["fast"]
         speedup = best["reference"] / best["fast"]
         print(f"reference: {ref_pps:10.0f} packets/s "
-              f"(regenerate + loop codec + scheduled + baseline)")
+              f"(regenerate + loop codec + scheduled + reference)")
         print(f"fast     : {fast_pps:10.0f} packets/s "
               f"(corpus + batched codec/replay + fast anomaly)")
         print(f"speedup  : {speedup:.2f}x end-to-end over {args.passes} "

@@ -26,8 +26,9 @@ import pickle
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from .. import __version__
 from ..attacks.catalog import CATALOG_VERSION
@@ -106,54 +107,45 @@ def _execute_unit(factory: ProductFactory, unit: WorkUnit,
 # ----------------------------------------------------------------------
 # result cache
 # ----------------------------------------------------------------------
-def _options_token(options: EvaluationOptions) -> Tuple:
-    """The measurement-relevant option fields, in stable form.
+#: Fields that change how the battery runs, never what it measures: any
+#: worker count or cache location gives bit-identical results, so neither
+#: may change a cache key.
+_EXECUTION_FIELDS = frozenset({"workers", "cache_dir"})
 
-    ``workers`` and ``cache_dir`` are deliberately absent: parallelism must
-    never change results, so it must never change cache keys either.
+#: Fields a rate probe's result does not depend on: the rest of the sweep
+#: (a probe cached at one sweep shape is reusable under any other sweep
+#: containing the same rate) and the fault plan (probes never run faults).
+_RATE_INDEPENDENT_FIELDS = frozenset(
+    {"throughput_rates_pps", "faults", "fault_severities"})
+
+
+def _options_token(options: EvaluationOptions,
+                   ignored: FrozenSet[str]) -> Tuple:
+    """Every option field not in ``ignored``, as ``(name, value)`` pairs.
+
+    Fields join the key by default, so a new option can never be left out
+    of it by accident; sequences (rate and severity ladders) enter as
+    tuples of floats.
     """
-    return (
-        options.seed,
-        options.n_hosts,
-        options.scenario_duration_s,
-        options.train_duration_s,
-        options.include_dos,
-        options.flood_rate_pps,
-        tuple(float(r) for r in options.throughput_rates_pps),
-        options.throughput_probe_s,
-        options.payload_mode,
-        options.profile,
-        # the matching kernel and the anomaly scoring path both produce
-        # identical results either way, but A/B comparisons must never
-        # read each other's cache
-        # (appended last: ``unit_key`` slices this tuple by position)
-        options.engine,
-        options.anomaly_path,
-    )
-
-
-def _faults_token(options: EvaluationOptions) -> Tuple:
-    """The fault-plan option fields, in stable form (scenario units only:
-    rate probes never run faults, so their keys stay plan-independent)."""
-    return (options.faults,
-            tuple(float(s) for s in options.fault_severities))
+    token = []
+    for f in fields(options):
+        if f.name in ignored:
+            continue
+        value = getattr(options, f.name)
+        if not isinstance(value, (str, int, float, type(None))):
+            value = tuple(float(v) for v in value)
+        token.append((f.name, value))
+    return tuple(token)
 
 
 def unit_key(unit: WorkUnit, options: EvaluationOptions) -> str:
     """Content hash identifying one unit's result on disk."""
-    # a "rate" unit's result does not depend on the other probe rates, so
-    # drop the sweep list from its token: probes cached at one sweep shape
-    # are reusable under any other sweep containing the same rate
-    token = _options_token(options)
+    ignored = _EXECUTION_FIELDS
     if unit.kind == "rate":
-        token = token[:6] + token[7:]
-    else:
-        # the scenario unit carries the dependability measurement, so the
-        # fault plan participates in its key: faulted and clean runs never
-        # read each other's cache entries
-        token = token + _faults_token(options)
+        ignored = ignored | _RATE_INDEPENDENT_FIELDS
     payload = repr(("repro-eval", __version__, CATALOG_VERSION,
-                    unit.product, unit.kind, unit.rate_pps, token))
+                    unit.product, unit.kind, unit.rate_pps,
+                    _options_token(options, ignored)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

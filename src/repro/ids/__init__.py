@@ -2,12 +2,7 @@
 
 from .alert import Alert, Detection, Notification, Severity
 from .analyzer import Analyzer
-from .anomaly import (
-    ANOMALY_PATHS,
-    DEFAULT_ANOMALY_PATH,
-    AnomalyEngine,
-    use_anomaly_path,
-)
+from .anomaly import AnomalyEngine
 from .component import Component, Subprocess, validate_wiring
 from .console import ManagementConsole, ResponseLog
 from .host import HostAgent, LoggingLevel
@@ -39,8 +34,6 @@ from .sensor import (
 )
 from .multipattern import AhoCorasick, MultiPatternMatcher
 from .signature import (
-    DEFAULT_ENGINE,
-    ENGINE_KINDS,
     HeaderRule,
     PayloadPatternRule,
     RuleMatch,
@@ -49,7 +42,6 @@ from .signature import (
     StreamPatternRule,
     ThresholdRule,
     default_ruleset,
-    use_engine,
 )
 
 __all__ = [
@@ -58,10 +50,7 @@ __all__ = [
     "Notification",
     "Severity",
     "Analyzer",
-    "ANOMALY_PATHS",
-    "DEFAULT_ANOMALY_PATH",
     "AnomalyEngine",
-    "use_anomaly_path",
     "Component",
     "Subprocess",
     "validate_wiring",
@@ -95,8 +84,6 @@ __all__ = [
     "Sensor",
     "SignatureDetector",
     "AhoCorasick",
-    "DEFAULT_ENGINE",
-    "ENGINE_KINDS",
     "HeaderRule",
     "MultiPatternMatcher",
     "PayloadPatternRule",
@@ -106,5 +93,4 @@ __all__ = [
     "StreamPatternRule",
     "ThresholdRule",
     "default_ruleset",
-    "use_engine",
 ]

@@ -24,8 +24,8 @@ Two layers live here:
 
 The result set is exact, not approximate: :meth:`MultiPatternMatcher.scan`
 returns precisely the ids of patterns with at least one occurrence, so the
-indexed :class:`~repro.ids.signature.SignatureEngine` reproduces the
-linear engine's matches byte-for-byte.
+indexed :class:`~repro.ids.signature.SignatureEngine` reproduces a linear
+rule scan's matches byte-for-byte.
 """
 
 from __future__ import annotations

@@ -14,47 +14,28 @@ The engine exposes the paper's *Adjustable Sensitivity* metric: a value in
 low-specificity "noisy" rules (which occasionally fire on benign traffic) --
 trading false negatives for false positives exactly as Figure 4 describes.
 
-Matching kernels
-----------------
+Matching kernel
+---------------
 The paper's Class-3 performance metrics are measured by pushing traffic
 through this engine, so its per-packet cost bounds how many scenarios a
-CPU-hour of evaluation can sweep.  Two interchangeable kernels produce
-byte-identical matches:
-
-``linear``
-    The reference path: every rule's ``match`` runs on every packet --
-    O(rules x patterns) per packet.  Kept for differential testing.
-``indexed`` (default)
-    The dispatch path: rules are bucketed by their declared static
-    constraints (protocol, destination ports, either-direction ports,
-    required TCP flag bits) so a packet only visits rules that could
-    possibly fire, and all payload
-    patterns across all payload/stream rules are compiled into one shared
-    :class:`~repro.ids.multipattern.MultiPatternMatcher` so each payload is
-    scanned once instead of once per pattern.  Hits map back to owning
-    rules in original rule order, preserving match-report ordering.
-
-Select a kernel per engine (``SignatureEngine(..., engine="linear")``) or
-for a whole code region via :func:`use_engine`; the evaluation harness
-threads ``EvaluationOptions.engine`` through the latter.
+CPU-hour of evaluation can sweep.  Rules are bucketed by their declared
+static constraints (protocol, destination ports, either-direction ports,
+required TCP flag bits) so a packet only visits rules that could possibly
+fire, and all payload patterns across all payload/stream rules are
+compiled into one shared
+:class:`~repro.ids.multipattern.MultiPatternMatcher` so each payload is
+scanned once instead of once per pattern.  Hits map back to owning rules
+in original rule order, preserving match-report ordering: the matches are
+exactly those of running every enabled rule's ``match`` on every packet,
+which the differential test suite checks against a reference scan.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet, Protocol, TcpFlags
@@ -74,41 +55,7 @@ __all__ = [
     "ThresholdRule",
     "SignatureEngine",
     "default_ruleset",
-    "ENGINE_KINDS",
-    "DEFAULT_ENGINE",
-    "use_engine",
 ]
-
-#: The selectable matching kernels.
-ENGINE_KINDS = ("indexed", "linear")
-
-#: Kernel used when an engine is built without an explicit ``engine=``.
-DEFAULT_ENGINE = "indexed"
-
-
-def _check_engine_kind(kind: str) -> str:
-    if kind not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}")
-    return kind
-
-
-@contextmanager
-def use_engine(kind: str) -> Iterator[None]:
-    """Temporarily change the default matching kernel.
-
-    The evaluation work units wrap themselves in this so one
-    ``EvaluationOptions.engine`` knob reaches every product deployment
-    (whose factories take no arguments), in-process and across pool
-    workers alike.
-    """
-    global DEFAULT_ENGINE
-    previous = DEFAULT_ENGINE
-    DEFAULT_ENGINE = _check_engine_kind(kind)
-    try:
-        yield
-    finally:
-        DEFAULT_ENGINE = previous
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,10 +413,9 @@ class ThresholdRule(SignatureRule):
     constraints, preconditions the key/value functions already imply (a
     rule keyed on TCP SYNs can declare ``proto=Protocol.TCP,
     flags=TcpFlags.SYN``).  They are dispatch metadata only -- ``match``
-    itself never consults them, so the linear reference path is unchanged
-    -- which makes the contract easy to state: the declaration must be
-    implied by ``key_fn``/``value_fn`` returning ``None``, or the indexed
-    kernel would skip a rule that could fire.
+    itself never consults them -- which makes the contract easy to state:
+    the declaration must be implied by ``key_fn``/``value_fn`` returning
+    ``None``, or the engine would skip a rule that could fire.
     """
 
     COUNT = object()
@@ -562,23 +508,16 @@ class SignatureEngine:
     Parameters
     ----------
     rules:
-        The rule set; order is preserved in match reporting.  The indexed
-        kernel snapshots it at construction -- build a new engine rather
+        The rule set; order is preserved in match reporting.  The engine
+        indexes it at construction -- build a new engine rather
         than mutating ``rules`` afterwards.
     sensitivity:
         Engine-wide sensitivity in [0, 1]; see module docstring.
-    engine:
-        Matching kernel, ``"indexed"`` or ``"linear"`` (module docstring);
-        ``None`` selects the ambient :data:`DEFAULT_ENGINE`.
     """
 
     def __init__(self, rules: Sequence[SignatureRule],
-                 sensitivity: float = 0.5,
-                 engine: Optional[str] = None) -> None:
+                 sensitivity: float = 0.5) -> None:
         self.rules = list(rules)
-        self.engine_kind = _check_engine_kind(
-            DEFAULT_ENGINE if engine is None else engine)
-        self._linear = self.engine_kind == "linear"
         # (proto, normalized dport, normalized sport, masked flags) ->
         # rule bucket; rebuilt lazily, emptied whenever sensitivity changes
         # (same dict object throughout: the hot tuple below captures it)
@@ -587,16 +526,14 @@ class SignatureEngine:
         self._dports_of_interest: FrozenSet[int] = frozenset()
         self._sports_of_interest: FrozenSet[int] = frozenset()
         self._flags_mask = 0
-        self._hot: Optional[tuple] = None
         self.sensitivity = sensitivity
         self.packets_inspected = 0
         self.matches = 0
-        if not self._linear:
-            self._build_index()
-            # one attribute read per packet instead of five
-            self._hot = (self._dispatch, self._dports_of_interest,
-                         self._sports_of_interest, self._flags_mask,
-                         self._matcher.scan)
+        self._build_index()
+        # one attribute read per packet instead of five
+        self._hot = (self._dispatch, self._dports_of_interest,
+                     self._sports_of_interest, self._flags_mask,
+                     self._matcher.scan)
 
     @property
     def sensitivity(self) -> float:
@@ -612,7 +549,7 @@ class SignatureEngine:
         self._dispatch.clear()
 
     # ------------------------------------------------------------------
-    # indexed kernel: rule index + shared multi-pattern automaton
+    # rule index + shared multi-pattern automaton
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
         pattern_rules = [r for r in self.rules
@@ -709,29 +646,6 @@ class SignatureEngine:
         self._dispatch[key] = result
         return result
 
-    def dispatch_rules(self, pkt: Packet) -> List[SignatureRule]:
-        """The rules the indexed kernel would visit for ``pkt`` (testing /
-        introspection aid)."""
-        if self._linear:
-            return [r for r in self.rules
-                    if self._sensitivity >= r.min_sensitivity]
-        bucket = self._dispatch.get(self._key(pkt))
-        if bucket is None:
-            bucket = self._build_bucket(self._key(pkt))
-        return [fn.__self__ for fn, _ in bucket[0]]
-
-    def _key(self, pkt: Packet) -> int:
-        """The packet's dispatch key: proto id, normalized ports (any port
-        outside the rules' interest sets collapses to the ``any`` value
-        0x10000), and masked flag bits, packed into one int -- int keys
-        hash at C speed, tuple keys do not."""
-        return ((pkt.proto_id << 40)
-                | ((pkt.dport if pkt.dport in self._dports_of_interest
-                    else 0x10000) << 23)
-                | ((pkt.sport if pkt.sport in self._sports_of_interest
-                    else 0x10000) << 6)
-                | (pkt.flag_bits & self._flags_mask))
-
     # ------------------------------------------------------------------
     def inspect(self, pkt: Packet, now: float) -> List[RuleMatch]:
         """Run every enabled rule that can fire against the packet."""
@@ -740,71 +654,63 @@ class SignatureEngine:
         # hits are rare: plain .append on the hit path beats paying a
         # bound-method binding on every packet
         hits: List[RuleMatch] = []
-        if self._linear:
-            for rule in self.rules:
-                if s < rule.min_sensitivity:
-                    continue
-                m = rule.match(pkt, now, s)
+        dispatch, dports, sports, flags_mask, scan = self._hot
+        key = ((pkt.proto_id << 40)
+               | ((pkt.dport if pkt.dport in dports else 0x10000) << 23)
+               | ((pkt.sport if pkt.sport in sports else 0x10000) << 6)
+               | (pkt.flag_bits & flags_mask))
+        bucket = dispatch.get(key)
+        if bucket is None:
+            bucket = self._build_bucket(key)
+        payload = pkt.payload
+        guard = bucket[2]
+        if payload is None or guard is None:
+            # pattern rules never fire on logical payloads (and touch
+            # no stream state for them): walk the header-only bucket
+            for fn in bucket[1]:
+                m = fn(pkt, now, s)
                 if m is not None:
                     hits.append(m)
         else:
-            dispatch, dports, sports, flags_mask, scan = self._hot
-            key = ((pkt.proto_id << 40)
-                   | ((pkt.dport if pkt.dport in dports else 0x10000) << 23)
-                   | ((pkt.sport if pkt.sport in sports else 0x10000) << 6)
-                   | (pkt.flag_bits & flags_mask))
-            bucket = dispatch.get(key)
-            if bucket is None:
-                bucket = self._build_bucket(key)
-            payload = pkt.payload
-            guard = bucket[2]
-            if payload is None or guard is None:
-                # pattern rules never fire on logical payloads (and touch
-                # no stream state for them): walk the header-only bucket
+            matched = scan(payload)
+            skip = False
+            if not matched:
+                # nothing matched anywhere in the payload; prefiltered
+                # calls are no-ops unless stream state is in play
+                gate, span, tables = guard
+                if gate is None or pkt.proto is not Protocol.TCP:
+                    skip = True
+                else:
+                    plen = len(payload)
+                    if gate.search(
+                            payload,
+                            plen - span if plen > span else 0) is None:
+                        # suffix gate miss: no stream rule will store a
+                        # tail off this packet.  The only remaining
+                        # side effect would be on an existing entry for
+                        # this flow; with the flow key absent from
+                        # every table, each prefiltered call is a
+                        # provable no-op.
+                        skip = True
+                        flow = (pkt.src.value, pkt.sport,
+                                pkt.dst.value, pkt.dport)
+                        for table in tables:
+                            if flow in table:
+                                skip = False
+                                break
+            if skip:
                 for fn in bucket[1]:
                     m = fn(pkt, now, s)
                     if m is not None:
                         hits.append(m)
             else:
-                matched = scan(payload)
-                skip = False
-                if not matched:
-                    # nothing matched anywhere in the payload; prefiltered
-                    # calls are no-ops unless stream state is in play
-                    gate, span, tables = guard
-                    if gate is None or pkt.proto is not Protocol.TCP:
-                        skip = True
+                for fn, prefiltered in bucket[0]:
+                    if prefiltered:
+                        m = fn(pkt, now, s, matched)
                     else:
-                        plen = len(payload)
-                        if gate.search(
-                                payload,
-                                plen - span if plen > span else 0) is None:
-                            # suffix gate miss: no stream rule will store a
-                            # tail off this packet.  The only remaining
-                            # side effect would be on an existing entry for
-                            # this flow; with the flow key absent from
-                            # every table, each prefiltered call is a
-                            # provable no-op.
-                            skip = True
-                            flow = (pkt.src.value, pkt.sport,
-                                    pkt.dst.value, pkt.dport)
-                            for table in tables:
-                                if flow in table:
-                                    skip = False
-                                    break
-                if skip:
-                    for fn in bucket[1]:
                         m = fn(pkt, now, s)
-                        if m is not None:
-                            hits.append(m)
-                else:
-                    for fn, prefiltered in bucket[0]:
-                        if prefiltered:
-                            m = fn(pkt, now, s, matched)
-                        else:
-                            m = fn(pkt, now, s)
-                        if m is not None:
-                            hits.append(m)
+                    if m is not None:
+                        hits.append(m)
         self.matches += len(hits)
         return hits
 

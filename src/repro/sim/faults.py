@@ -30,11 +30,12 @@ Design rules:
 Availability bookkeeping is analytic: every resolved fault contributes a
 weighted downtime window per component (full weight for crash/stall/
 partition, the lost service fraction ``1 - 1/slowdown`` for overload,
-the loss fraction for link loss, zero for pure added latency), each
-component's total is clamped to the scenario duration, and availability
-is ``1 - sum(downtime) / (components * duration)``.  This makes
-availability exactly reproducible, always in ``[0, 1]``, and monotone in
-fault severity.
+the loss fraction for link loss, zero for pure added latency), clipped to
+the scenario span.  A component's downtime is the weighted measure of the
+*union* of its windows -- where windows overlap, only the heaviest counts
+-- and availability is ``1 - sum(downtime) / (components * duration)``.
+This makes availability exactly reproducible, always in ``[0, 1]``,
+monotone in fault severity, and unmoved by a repeated fault.
 """
 
 from __future__ import annotations
@@ -245,6 +246,25 @@ def named_plan(name: str, seed: int = 0) -> FaultPlan:
 # ----------------------------------------------------------------------
 # the injector
 # ----------------------------------------------------------------------
+def _union_downtime(windows: List[Tuple[float, float, float]]) -> float:
+    """Weighted measure of the union of ``(start, length, weight)``
+    windows, charging the heaviest weight wherever windows overlap."""
+    # identical windows are dropped first, so a repeated fault reproduces
+    # the single fault's figure exactly rather than to within rounding
+    live = [w for w in dict.fromkeys(windows) if w[1] > 0.0 and w[2] > 0.0]
+    if len(live) == 1:
+        # a lone window is charged as declared, not via its end point
+        _, length, weight = live[0]
+        return weight * length
+    edges = sorted({t for start, length, _ in live
+                    for t in (start, start + length)})
+    return sum(
+        (hi - lo) * max((w for start, length, w in live
+                         if start <= lo and hi <= start + length),
+                        default=0.0)
+        for lo, hi in zip(edges, edges[1:]))
+
+
 class FaultInjector:
     """Apply a :class:`FaultPlan` to a deployment over one scenario.
 
@@ -269,7 +289,9 @@ class FaultInjector:
         self.skipped: List[Tuple[Fault, str]] = []   # (fault, reason)
         self.packets_lost = 0
         self.packets_delayed = 0
-        self._downtime: Dict[str, float] = {}
+        #: component label -> ``(start, length, weight)`` downtime windows,
+        #: relative to the armed start and clipped to the scenario span
+        self._windows: Dict[str, List[Tuple[float, float, float]]] = {}
 
         # live link state (driven by scheduled events)
         self._loss_frac = 0.0
@@ -324,15 +346,16 @@ class FaultInjector:
             balancer.failover = True
         for fault in self.plan.faults:
             for label, on, off in self._resolve(fault):
-                start = t0 + fault.start_frac * self.duration_s
+                start = fault.start_frac * self.duration_s
                 window = fault.duration_frac * self.duration_s
+                if start + window > self.duration_s:
+                    window = self.duration_s - start
                 self.applied.append((fault, label))
-                self._downtime[label] = (
-                    self._downtime.get(label, 0.0)
-                    + fault.downtime_weight() * window)
+                self._windows.setdefault(label, []).append(
+                    (start, window, fault.downtime_weight()))
                 if window > 0.0:
-                    self.engine.schedule_at(start, on)
-                    self.engine.schedule_at(start + window, off)
+                    self.engine.schedule_at(t0 + start, on)
+                    self.engine.schedule_at(t0 + start + window, off)
 
     def _resolve(self, fault: Fault):
         """Yield ``(component label, apply, revert)`` for one fault."""
@@ -429,7 +452,8 @@ class FaultInjector:
             raise ConfigurationError("arm() the injector before reading "
                                      "availability")
         total = self.component_count() * self.duration_s
-        down = sum(min(d, self.duration_s) for d in self._downtime.values())
+        down = sum(min(_union_downtime(windows), self.duration_s)
+                   for windows in self._windows.values())
         return 1.0 - down / total
 
     def degradation_counters(self) -> Dict[str, int]:

@@ -162,8 +162,9 @@ def shannon_entropy_prefix(data: bytes, limit: int) -> float:
     Bit-identical to the sliced form: ``np.frombuffer(..., count=n)`` reads
     the same first ``n`` bytes the slice would copy, and every subsequent
     operation (bincount, division by ``n``, ``log2``, pairwise sum) is the
-    same expression over the same values.  The anomaly fast path relies on
-    this exactness to stay score-for-score identical to the baseline.
+    same expression over the same values.  The anomaly engine relies on
+    this exactness to stay score-for-score identical to its per-packet
+    reference.
     """
     n = min(len(data), limit)
     if n == 0:

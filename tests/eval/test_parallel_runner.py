@@ -7,6 +7,7 @@ evaluations and byte-identical rendered tables -- to ``workers=1``, and a
 cache hit must be indistinguishable from a fresh run.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -40,6 +41,21 @@ TINY = dict(seed=0, n_hosts=3, scenario_duration_s=10.0,
             throughput_probe_s=0.2)
 
 FIELD_PRODUCTS = [NidProduct, AafidProduct]
+
+#: A value differing from ``options()``'s, for every EvaluationOptions field.
+CHANGED_OPTIONS = dict(
+    seed=1, n_hosts=4, scenario_duration_s=11.0, train_duration_s=5.0,
+    include_dos=False, flood_rate_pps=900.0,
+    throughput_rates_pps=(500, 9000), throughput_probe_s=0.3,
+    payload_mode="random", profile="ecommerce", faults="crash-recover",
+    fault_severities=(1.0,), workers=8, cache_dir="/anywhere")
+
+#: The option fields each unit kind's cache key must not depend on.
+KEY_IGNORES = {
+    "scenario": {"workers", "cache_dir"},
+    "rate": {"workers", "cache_dir", "throughput_rates_pps", "faults",
+             "fault_severities"},
+}
 
 
 def options(**overrides) -> EvaluationOptions:
@@ -128,12 +144,14 @@ class TestWorkPlan:
         assert (unit_key(unit, options(throughput_rates_pps=(500, 1200))) ==
                 unit_key(unit, options(throughput_rates_pps=(500, 9000))))
 
-    def test_engine_knob_changes_every_key(self):
-        # kernel A/B runs must never read each other's cached results,
-        # for scenario and rate units alike
-        for unit in plan_units(["a"], options()):
-            assert (unit_key(unit, options(engine="indexed")) !=
-                    unit_key(unit, options(engine="linear")))
+    @pytest.mark.parametrize("kind", sorted(KEY_IGNORES))
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(EvaluationOptions)])
+    def test_key_depends_on_exactly_the_measured_fields(self, name, kind):
+        unit = WorkUnit(0, "a", kind, 500.0 if kind == "rate" else 0.0)
+        changed = (unit_key(unit, options(**{name: CHANGED_OPTIONS[name]}))
+                   != unit_key(unit, options()))
+        assert changed == (name not in KEY_IGNORES[kind])
 
 
 class TestResultCache:
@@ -170,22 +188,6 @@ class TestResultCache:
         evaluate_product(AafidProduct, changed)
         assert last_cache_stats().misses >= 1
         assert last_cache_stats().hits <= 1
-
-    def test_engine_flip_is_a_cache_miss_with_identical_results(self,
-                                                                tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        indexed = evaluate_product(NidProduct, options(
-            cache_dir=cache_dir, throughput_rates_pps=(500,),
-            engine="indexed"))
-        assert last_cache_stats().stores == 2
-        linear = evaluate_product(NidProduct, options(
-            cache_dir=cache_dir, throughput_rates_pps=(500,),
-            engine="linear"))
-        stats = last_cache_stats()
-        # the flipped knob must miss everything and recompute...
-        assert stats.hits == 0 and stats.stores == 2
-        # ...yet the kernels are measurement-identical by construction
-        assert linear == indexed
 
     def test_shared_cache_across_worker_counts(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

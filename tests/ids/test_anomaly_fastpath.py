@@ -1,33 +1,31 @@
-"""Differential testing: the fast anomaly path must equal the baseline.
+"""Differential testing: anomaly scoring must equal the reference scorer.
 
-The fast :class:`~repro.ids.anomaly.AnomalyEngine` path is an
-optimization, not a behaviour change: for any training stream, any live
-stream, and any sensitivity -- including sensitivity changed *mid-run* --
-it must produce the same ``(feature, score)`` transcripts, the same
-detection counter, and the same trained baseline as the reference path.
-Hypothesis drives both paths over randomized traffic that deliberately
-hits the fast path's edges: ICMP (no ports, size-z feature), sub-32-byte
-payloads (below the entropy gate), text/binary token boundaries, and
-payloads longer than the 256-byte entropy sample.
+:class:`~repro.ids.anomaly.AnomalyEngine`'s memoized features, interned
+service keys and precheck cuts are an optimization, not a behaviour
+change: for any training stream, any live stream, and any sensitivity --
+including sensitivity changed *mid-run* -- it must produce the same
+``(feature, score)`` transcripts and the same counters as
+:class:`tests.oracles.anomaly.ReferenceAnomalyScorer`, which recomputes
+every feature per packet from the same trained state.  Hypothesis drives
+both over randomized traffic that deliberately hits the engine's edges:
+ICMP (no ports, size-z feature), sub-32-byte payloads (below the entropy
+gate), text/binary token boundaries, and payloads longer than the
+256-byte entropy sample.
 
-The payload feature helpers get their own bit-exactness properties:
-``shannon_entropy_prefix`` vs a sliced ``shannon_entropy``, and
-``_token_fast`` vs the baseline ``AnomalyEngine._token``.
+The payload feature helpers, which training uses too, get their own
+bit-exactness properties: ``shannon_entropy_prefix`` vs a sliced
+``shannon_entropy``, and ``_token_fast`` vs the reference token.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ids.anomaly import (
-    ANOMALY_PATHS,
-    AnomalyEngine,
-    _token_fast,
-    use_anomaly_path,
-)
+from repro.ids.anomaly import AnomalyEngine, _token_fast
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.traffic.payload import shannon_entropy, shannon_entropy_prefix
+from tests.oracles.anomaly import ReferenceAnomalyScorer, reference_token
 
 ADDRESSES = tuple(IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3, 4))
 PORTS = (22, 80, 7000, 7101, 40000)
@@ -94,32 +92,37 @@ def packet_stream(max_events):
 # ----------------------------------------------------------------------
 # the differential harness
 # ----------------------------------------------------------------------
-def run_path(path, train, live, sensitivity, mid_run_sensitivity=None):
-    """Full transcript of one engine over a (train, live) split.
+def run_both(train, live, sensitivity, mid_run_sensitivity=None):
+    """Transcripts of the engine and the reference over a (train, live)
+    split: ``(engine_side, reference_side)``, each ``(scores,
+    packets_inspected, detections)``.
 
-    Packets are rebuilt per run via :meth:`Packet.copy` so one path's
-    derived-feature memos can never leak into the other's inputs.
+    Both sides score the same trained state.  Packets are rebuilt per
+    call via :meth:`Packet.copy` so the engine's derived-feature memos can
+    never leak into the reference's inputs.
     """
-    engine = AnomalyEngine(sensitivity=sensitivity, path=path)
+    engine = AnomalyEngine(sensitivity=sensitivity)
     now = 0.0
     for dt, pkt in train:
         now += dt
         engine.train(pkt.copy(), now)
     engine.freeze()
-    out = []
+    reference = ReferenceAnomalyScorer(engine)
+    sides = ((engine, []), (reference, []))
     for i, (dt, pkt) in enumerate(live):
         if mid_run_sensitivity is not None and i == len(live) // 2:
             engine.sensitivity = mid_run_sensitivity
         now += dt
-        for feature, score in engine.inspect(pkt.copy(), now):
-            out.append((i, feature, score))
-    return out, engine.packets_inspected, engine.detections
+        for scorer, out in sides:
+            for feature, score in scorer.inspect(pkt.copy(), now):
+                out.append((i, feature, score))
+    return tuple((out, scorer.packets_inspected, scorer.detections)
+                 for scorer, out in sides)
 
 
 def assert_paths_agree(train, live, sensitivity, mid_run=None):
-    baseline = run_path("baseline", train, live, sensitivity, mid_run)
-    fast = run_path("fast", train, live, sensitivity, mid_run)
-    assert fast == baseline
+    fast, reference = run_both(train, live, sensitivity, mid_run)
+    assert fast == reference
 
 
 class TestPayloadFeatureExactness:
@@ -135,7 +138,7 @@ class TestPayloadFeatureExactness:
     def test_token_fast_value_equal(self, payload):
         pkt = Packet(src=ADDRESSES[0], dst=ADDRESSES[1], sport=80, dport=80,
                      payload=payload)
-        assert _token_fast(payload) == AnomalyEngine._token(pkt)
+        assert _token_fast(payload) == reference_token(pkt)
 
 
 class TestDifferential:
@@ -156,7 +159,7 @@ class TestDifferential:
 
     def test_icmp_size_feature_agrees(self):
         # deterministic anchor: train a stable ICMP size baseline, then
-        # offer a far-out-of-envelope ping; both paths must flag it with
+        # offer a far-out-of-envelope ping; both sides must flag it with
         # the identical score
         a, b = ADDRESSES[0], ADDRESSES[1]
         train = [(0.1, Packet(src=a, dst=b, proto=Protocol.ICMP,
@@ -164,15 +167,9 @@ class TestDifferential:
                  for i in range(12)]
         live = [(0.1, Packet(src=a, dst=b, proto=Protocol.ICMP,
                              payload=bytes(4000)))]
-        base = run_path("baseline", train, live, 0.5)
-        fast = run_path("fast", train, live, 0.5)
-        assert fast == base
-        assert any(feature == "icmp-size" for _, feature, _ in base[0])
-
-    def test_ambient_default_is_respected(self):
-        for path in ANOMALY_PATHS:
-            with use_anomaly_path(path):
-                assert AnomalyEngine().anomaly_path == path
+        fast, reference = run_both(train, live, 0.5)
+        assert fast == reference
+        assert any(feature == "icmp-size" for _, feature, _ in reference[0])
 
 
 @pytest.mark.slow

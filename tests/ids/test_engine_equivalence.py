@@ -1,11 +1,12 @@
-"""Differential testing: the indexed kernel must equal the linear scan.
+"""Differential testing: the indexed engine must equal the linear scan.
 
-The indexed :class:`~repro.ids.signature.SignatureEngine` is an
-optimization, not a behaviour change: for any rule set, any packet stream
-and any sensitivity it must produce the *same matches in the same order*
-as the linear reference kernel -- including across TCP stream state,
-threshold windows and flow-cap eviction.  Hypothesis drives both kernels
-over randomized rule sets and packet streams (with deliberate
+:class:`~repro.ids.signature.SignatureEngine`'s rule index and shared
+pattern scan are an optimization, not a behaviour change: for any rule
+set, any packet stream and any sensitivity it must produce the *same
+matches in the same order* as the linear reference scan
+(:func:`tests.oracles.signature.linear_inspect`) -- including across TCP
+stream state, threshold windows and flow-cap eviction.  Hypothesis drives
+both over randomized rule sets and packet streams (with deliberate
 segmentation of patterns across TCP boundaries) and asserts the full
 match transcripts are equal.
 """
@@ -24,6 +25,7 @@ from repro.ids.signature import (
 )
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
+from tests.oracles.signature import linear_inspect
 
 # a deliberately nasty pattern pool: shared prefixes/suffixes, a pattern
 # containing another, single bytes, and real-ruleset markers
@@ -36,7 +38,7 @@ SENSITIVITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 # ----------------------------------------------------------------------
-# rule-set specs (rules are stateful, so each kernel gets a fresh build)
+# rule-set specs (rules are stateful, so each side gets a fresh build)
 # ----------------------------------------------------------------------
 def _src_key(pkt):
     return pkt.src.value
@@ -181,12 +183,18 @@ def packet_stream(max_events):
 # the differential harness
 # ----------------------------------------------------------------------
 def transcript(kind, rules, events, sensitivity):
-    engine = SignatureEngine(rules, sensitivity=sensitivity, engine=kind)
+    """Every match of one side, in order: ``"indexed"`` is the engine,
+    ``"linear"`` the reference scan."""
+    if kind == "indexed":
+        inspect = SignatureEngine(rules, sensitivity=sensitivity).inspect
+    else:
+        def inspect(pkt, now):
+            return linear_inspect(rules, pkt, now, sensitivity)
     now = 0.0
     out = []
     for dt, pkt in events:
         now += dt
-        for m in engine.inspect(pkt, now):
+        for m in inspect(pkt, now):
             out.append((pkt.pid, m.rule, m.category, m.severity, m.score,
                         m.detail))
     return out
@@ -218,7 +226,7 @@ class TestDifferential:
 
     def test_straddled_marker_detected_by_both(self):
         # deterministic anchor: a marker split across three segments must
-        # fire on its final segment in both kernels
+        # fire on its final segment on both sides
         specs = [("stream", [b"EVILMARKER"], None, 8192, 30.0, 0.0)]
         events = [(0.01, Packet(src=ADDRESSES[0], dst=ADDRESSES[1],
                                 sport=4000, dport=143, proto=Protocol.TCP,

@@ -2,8 +2,8 @@
 vs eager scheduling, and the cached trace statistics.
 
 The batched ``_encode``/``_decode`` pair must be *byte-identical* (encode)
-and *field-identical* (decode) to the per-record ``_write``/``_read``
-loops kept in-tree as the reference, over arbitrary traces -- including
+and *field-identical* (decode) to the per-record v1 reference loops
+(:mod:`tests.oracles.trace`), over arbitrary traces -- including
 payload-less packets, logical-length-only packets, and attack labels.
 Batched replay must deliver the same events in the same order as eager
 per-record scheduling, including ties against unrelated events.
@@ -19,13 +19,9 @@ from hypothesis import strategies as st
 from repro.errors import TraceFormatError
 from repro.net.address import IPv4Address
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.trace import (
-    DEFAULT_REPLAY_MODE,
-    REPLAY_MODES,
-    Trace,
-    use_replay_mode,
-)
+from repro.net.trace import Trace
 from repro.sim.engine import Engine
+from tests.oracles.trace import read_v1, scheduled_replay, write_v1
 
 A = IPv4Address("10.0.0.1")
 B = IPv4Address("10.0.0.2")
@@ -77,7 +73,7 @@ class TestCodecEquivalence:
     @given(trace=traces())
     def test_batched_encode_matches_v1_bytes(self, trace):
         buf = io.BytesIO()
-        trace._write(buf)
+        write_v1(trace, buf)
         assert trace._encode() == buf.getvalue()
 
     @settings(max_examples=120, deadline=None,
@@ -86,7 +82,7 @@ class TestCodecEquivalence:
     def test_batched_decode_matches_v1_fields(self, trace):
         data = trace.to_bytes()
         batched = Trace.from_bytes(data, name=trace.name)
-        looped = Trace._read(io.BytesIO(data), trace.name)
+        looped = read_v1(io.BytesIO(data), trace.name)
         assert fields(batched) == fields(looped)
 
     @settings(max_examples=80, deadline=None,
@@ -110,7 +106,7 @@ class TestCodecEquivalence:
         with pytest.raises(TraceFormatError) as batched_err:
             Trace.from_bytes(bad)
         with pytest.raises(TraceFormatError) as looped_err:
-            Trace._read(io.BytesIO(bad), "trace")
+            read_v1(io.BytesIO(bad), "trace")
         assert str(batched_err.value) == str(looped_err.value)
 
 
@@ -189,7 +185,8 @@ class TestCachedStatistics:
 # ----------------------------------------------------------------------
 def replay_log(trace, mode, speedup=1.0, start_at=0.0, competing=True):
     """Event log of a replay, with competing same-time events interleaved
-    and one event scheduled from inside the sink."""
+    and one event scheduled from inside the sink.  ``mode`` is
+    ``"batched"`` (``Trace.replay``) or ``"scheduled"`` (the reference)."""
     engine = Engine()
     log = []
     if competing:
@@ -204,7 +201,11 @@ def replay_log(trace, mode, speedup=1.0, start_at=0.0, competing=True):
             scheduled_inner.append(True)
             engine.schedule(0.0, log.append, ("inner", engine.now))
 
-    trace.replay(engine, sink, start_at=start_at, speedup=speedup, mode=mode)
+    if mode == "batched":
+        trace.replay(engine, sink, start_at=start_at, speedup=speedup)
+    else:
+        scheduled_replay(trace, engine, sink, start_at=start_at,
+                         speedup=speedup)
     engine.run()
     return log
 
@@ -241,21 +242,15 @@ class TestReplayEquivalence:
             if pkt.sport == 2:
                 cursor.cancel()
 
-        cursor = trace.replay(engine, sink, mode="batched")
+        cursor = trace.replay(engine, sink)
         engine.run()
         assert seen == [0, 1, 2]
 
-    def test_mode_knob_and_validation(self):
-        assert DEFAULT_REPLAY_MODE in REPLAY_MODES
+    def test_nonpositive_speedup_rejected(self):
         trace = Trace("m")
         trace.append(0.0, Packet(src=A, dst=B))
-        engine = Engine()
         with pytest.raises(TraceFormatError):
-            trace.replay(engine, lambda p: None, speedup=0.0)
-        with pytest.raises(TraceFormatError):
-            trace.replay(engine, lambda p: None, mode="eager")
-        with use_replay_mode("scheduled"):
-            assert trace.replay(Engine(), lambda p: None) is None
+            trace.replay(Engine(), lambda p: None, speedup=0.0)
 
     def test_empty_trace_is_a_noop(self):
         engine = Engine()

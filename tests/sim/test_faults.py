@@ -1,10 +1,11 @@
 """Tests for the fault-injection layer (plans, injector, hooks)."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -226,6 +227,28 @@ class TestInjector:
         # downtime: sensor 30s + analyzer 15s + monitor 20s = 65s of 600s
         assert inj.availability() == pytest.approx(1.0 - 65.0 / 600.0)
 
+    def test_window_past_scenario_end_is_clipped(self):
+        eng = Engine()
+        dep = fake_deployment()
+        plan = FaultPlan("late", (Fault(FaultKind.STALL, "analyzer:0",
+                                        0.9, 0.5),))
+        inj = FaultInjector(eng, dep, plan, duration_s=50.0)
+        inj.arm()
+        # only the 5 s inside the scenario count, of 6 components x 50 s
+        assert inj.availability() == 1.0 - 5.0 / 300.0
+        eng.run()
+        assert eng.now == pytest.approx(50.0)  # resumed at the end
+
+    def test_overlapping_windows_charge_their_union(self):
+        plan = FaultPlan("overlap", (
+            Fault(FaultKind.OVERLOAD, "sensor:0", 0.1, 0.4, magnitude=2.0),
+            Fault(FaultKind.CRASH, "sensor:0", 0.3, 0.4)))
+        inj = FaultInjector(Engine(), fake_deployment(), plan,
+                            duration_s=50.0)
+        inj.arm()
+        # half-weight overload alone for 10 s, then the crash for 20 s
+        assert inj.availability() == pytest.approx(1.0 - 25.0 / 300.0)
+
     def test_double_arm_rejected(self):
         eng = Engine()
         inj = FaultInjector(eng, fake_deployment(), named_plan("none"),
@@ -375,8 +398,55 @@ def test_availability_in_unit_interval(plan, severity):
 @given(plan=plans(),
        s1=st.floats(0.0, 2.0, allow_nan=False),
        s2=st.floats(0.0, 2.0, allow_nan=False))
+# a window running past the scenario end used to be charged unclipped at
+# severity 1.0 only, so severity 2.0 scored higher
+@example(plan=FaultPlan("prop", (Fault(FaultKind.STALL, "analyzer:*",
+                                       1.0, 1.0),)),
+         s1=1.0, s2=2.0)
 def test_degradation_monotone_in_severity(plan, s1, s2):
     lo, hi = sorted((s1, s2))
     # more severe faults can never *increase* availability
     assert _availability(plan.scaled(hi)) <= _availability(
         plan.scaled(lo)) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=plans(), pick=st.integers(0, 5),
+       severity=st.floats(0.0, 2.0, allow_nan=False))
+@example(plan=FaultPlan("prop", (Fault(FaultKind.STALL, "analyzer:0",
+                                       0.2, 0.2),)),
+         pick=0, severity=1.0)
+def test_duplicated_fault_never_lowers_availability(plan, pick, severity):
+    assume(plan.faults)
+    doubled = replace(plan, faults=plan.faults
+                      + (plan.faults[pick % len(plan.faults)],))
+    assert (_availability(doubled.scaled(severity))
+            >= _availability(plan.scaled(severity)))
+
+
+#: Named-plan availabilities on ``fake_deployment()`` over 50 s.  No named
+#: plan runs past the scenario end or overlaps windows on one component,
+#: so the union accounting leaves every value bit-identical.
+NAMED_PLAN_AVAILABILITY = {
+    ("none", 0.5): 1.0,
+    ("none", 1.0): 1.0,
+    ("crash-recover", 0.5): 0.9458333333333333,
+    ("crash-recover", 1.0): 0.8916666666666666,
+    ("sensor-overload", 0.5): 0.9404761904761905,
+    ("sensor-overload", 1.0): 0.8611111111111112,
+    ("analyzer-stall", 0.5): 0.9708333333333333,
+    ("analyzer-stall", 1.0): 0.9416666666666667,
+    ("manager-partition", 0.5): 0.9666666666666667,
+    ("manager-partition", 1.0): 0.9333333333333333,
+    ("link-degraded", 0.5): 0.99625,
+    ("link-degraded", 1.0): 0.985,
+    ("cascade", 0.5): 0.9070833333333334,
+    ("cascade", 1.0): 0.8116666666666666,
+}
+
+
+@pytest.mark.parametrize("severity", (0.5, 1.0))
+@pytest.mark.parametrize("name", plan_names())
+def test_named_plan_availability_is_exact(name, severity):
+    assert (_availability(named_plan(name).scaled(severity))
+            == NAMED_PLAN_AVAILABILITY[name, severity])
