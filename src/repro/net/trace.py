@@ -50,7 +50,7 @@ import struct
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TraceFormatError
-from ..sim.engine import Engine, EventHandle
+from ..sim.engine import Engine
 from .address import IPv4Address
 from .packet import Packet, Protocol, TcpFlags
 
@@ -319,20 +319,18 @@ class Trace:
         sink: Callable[[Packet], None],
         start_at: float = 0.0,
         speedup: float = 1.0,
-    ) -> Optional[EventHandle]:
+    ) -> None:
         """Feed every record to ``sink`` on ``engine``'s clock.
 
         ``speedup > 1`` compresses inter-packet gaps (a rate-scaling knob for
-        throughput sweeps); packet *content* is unchanged.  The returned
-        cursor handle cancels the not-yet-delivered remainder (``None`` for
-        an empty trace).
+        throughput sweeps); packet *content* is unchanged.  An empty trace
+        schedules nothing.
         """
         if speedup <= 0:
             raise TraceFormatError("speedup must be positive")
-        if not self._records:
-            return None
-        return engine.schedule_stream(
-            self._records, sink, start_at=start_at, speedup=speedup)
+        if self._records:
+            engine.schedule_stream(
+                self._records, sink, start_at=start_at, speedup=speedup)
 
 
 class TraceRecorder:

@@ -1,6 +1,6 @@
-"""Discrete-event simulation kernel: engine, processes, RNG, resources, stats."""
+"""Discrete-event simulation kernel: engine, faults, RNG, resources, stats."""
 
-from .engine import Engine, EventHandle
+from .engine import Engine
 from .faults import (
     Fault,
     FaultInjector,
@@ -9,30 +9,22 @@ from .faults import (
     named_plan,
     plan_names,
 )
-from .process import Process, Signal, start
 from .resources import HostCpu, LoadHandle
 from .rng import RngRegistry
-from .stats import Counter, RateMeter, Reservoir, Series, TimeWeighted, Welford
+from .stats import RateMeter, TimeWeighted, Welford
 
 __all__ = [
     "Engine",
-    "EventHandle",
     "Fault",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "named_plan",
     "plan_names",
-    "Process",
-    "Signal",
-    "start",
     "HostCpu",
     "LoadHandle",
     "RngRegistry",
-    "Counter",
     "RateMeter",
-    "Reservoir",
-    "Series",
     "TimeWeighted",
     "Welford",
 ]

@@ -1,14 +1,13 @@
 """Discrete-event simulation engine.
 
 The engine is a classic event-heap kernel: callbacks are scheduled at
-absolute simulated times and executed in non-decreasing time order.  Ties are
-broken first by an explicit integer *priority* (lower runs first) and then by
-insertion order, so runs are fully deterministic.
+absolute simulated times and executed in non-decreasing time order.  Heap
+entries are plain ``(time, seq, fn, args)`` tuples, so ordering is done by
+C-level tuple comparison; ties at the same time break by insertion order
+(``seq``) only, and runs are fully deterministic.
 
 The engine is deliberately callback-based for speed -- the IDS testbed pushes
-hundreds of thousands of packet events through it.  A coroutine-style process
-layer is provided on top in :mod:`repro.sim.process` for components that read
-more naturally as sequential code.
+hundreds of thousands of packet events through it.
 """
 
 from __future__ import annotations
@@ -18,53 +17,7 @@ from typing import Any, Callable, Optional
 
 from ..errors import ScheduleError, SimulationError
 
-__all__ = ["Engine", "EventHandle"]
-
-
-def _noop() -> None:  # placeholder callback while a stream cursor is built
-    return None
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled callback.
-
-    Cancellation is lazy: the heap entry stays in place and is skipped when
-    popped, which keeps :meth:`Engine.cancel` O(1).
-    """
-
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn: Optional[Callable[..., Any]] = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running; safe to call repeatedly."""
-        self.cancelled = True
-        self.fn = None  # drop references early
-        self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time:.6f} prio={self.priority} {state}>"
+__all__ = ["Engine"]
 
 
 class Engine:
@@ -79,25 +32,22 @@ class Engine:
     --------
     >>> eng = Engine()
     >>> seen = []
-    >>> _ = eng.schedule(1.0, seen.append, "a")
-    >>> _ = eng.schedule(0.5, seen.append, "b")
+    >>> eng.schedule(1.0, seen.append, "a")
+    >>> eng.schedule(0.5, seen.append, "b")
+    >>> eng.schedule(1.0, seen.append, "c")
     >>> eng.run()
     1.0
     >>> seen
-    ['b', 'a']
+    ['b', 'a', 'c']
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self.events_executed = 0
 
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
@@ -105,31 +55,16 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of heap entries, including lazily cancelled ones."""
+        """Number of heap entries; a pending stream counts as one."""
         return len(self._heap)
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ScheduleError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args, priority=priority)
+        self.schedule_at(self._now + delay, fn, *args)
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> EventHandle:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self._now:
             raise ScheduleError(
@@ -137,15 +72,8 @@ class Engine:
             )
         if not callable(fn):
             raise ScheduleError(f"callback {fn!r} is not callable")
-        handle = EventHandle(float(time), priority, self._seq, fn, args)
+        heapq.heappush(self._heap, (float(time), self._seq, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, handle)
-        return handle
-
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a previously scheduled event."""
-        handle.cancel()
 
     def schedule_stream(
         self,
@@ -153,8 +81,7 @@ class Engine:
         sink: Callable[..., Any],
         start_at: float = 0.0,
         speedup: float = 1.0,
-        priority: int = 0,
-    ) -> EventHandle:
+    ) -> None:
         """Deliver a time-sorted record stream through one reusable cursor.
 
         ``records`` is a non-empty sequence of ``(time, payload)`` pairs in
@@ -166,11 +93,8 @@ class Engine:
         Event ordering is *identical* to eager per-record ``schedule_at``
         calls: the cursor reserves the contiguous sequence-number block
         those calls would have consumed and stamps record ``i``'s number
-        before each re-push, so ties against unrelated events (same time,
-        same priority) break exactly the same way.
-
-        Cancelling the returned cursor stops the not-yet-delivered
-        remainder of the stream.
+        on each re-push, so ties against unrelated events at the same time
+        break exactly the same way.
         """
         n = len(records)
         if n == 0:
@@ -187,55 +111,22 @@ class Engine:
                 f"clock already at {self._now!r}")
         base = self._seq
         self._seq += n  # reserve the block eager scheduling would have used
-        cursor = EventHandle(float(first_at), priority, base, _noop, ())
+        heap = self._heap
         idx = 0
 
         def fire() -> None:
             nonlocal idx
             record = records[idx]
             idx += 1
-            if idx < n and not cursor.cancelled:
-                cursor.time = start_at + (records[idx][0] - t0) / speedup
-                cursor.seq = base + idx
-                cursor.fn = fire
-                cursor.args = ()
-                heapq.heappush(self._heap, cursor)
+            if idx < n:
+                heapq.heappush(heap, (start_at + (records[idx][0] - t0) / speedup,
+                                      base + idx, fire, ()))
             sink(record[1])
 
-        cursor.fn = fire
-        heapq.heappush(self._heap, cursor)
-        return cursor
+        heapq.heappush(heap, (float(first_at), base, fire, ()))
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the heap was empty.
-        """
-        while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            if handle.time < self._now:  # pragma: no cover - internal guard
-                raise SimulationError("event heap yielded an event in the past")
-            self._now = handle.time
-            fn, args = handle.fn, handle.args
-            handle.fn, handle.args = None, ()  # break cycles
-            assert fn is not None
-            fn(*args)
-            self.events_executed += 1
-            return True
-        return False
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have executed.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the heap drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
@@ -246,73 +137,20 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
-        self._stopped = False
-        executed = 0
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
-                if until is not None and self._heap[0].time > until:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                if self.step():
-                    executed += 1
-            if until is not None and not self._stopped and self._now < until:
+                time, _, fn, args = pop(heap)
+                if time < self._now:  # pragma: no cover - internal guard
+                    raise SimulationError("event heap yielded an event in the past")
+                self._now = time
+                fn(*args)
+                self.events_executed += 1
+            if until is not None and self._now < until:
                 self._now = float(until)
         finally:
             self._running = False
         return self._now
-
-    def stop(self) -> None:
-        """Stop a run in progress after the current callback returns."""
-        self._stopped = True
-
-    def every(
-        self,
-        interval: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` periodically every ``interval`` seconds.
-
-        Returns the handle of the *next* occurrence; cancelling it stops the
-        series.  The returned handle object is reused for every tick so the
-        caller can keep a single reference.
-        """
-        if interval <= 0:
-            raise ScheduleError(f"non-positive interval {interval!r}")
-        first = interval if start_delay is None else start_delay
-
-        def tick(handle_box: list) -> None:
-            fn(*args)
-            prev = handle_box[0]
-            if prev.cancelled:
-                return
-            nxt = self.schedule(interval, tick, handle_box, priority=priority)
-            # Re-point the box and mirror cancellation state onto the caller's
-            # original handle so `.cancel()` on it keeps working.
-            handle_box[0] = nxt
-
-        box: list = []
-        outer = _PeriodicHandle(self, box)
-        inner = self.schedule(first, tick, box, priority=priority)
-        box.append(inner)
-        outer._box = box
-        return outer  # type: ignore[return-value]
-
-
-class _PeriodicHandle(EventHandle):
-    """Handle wrapping a periodic series; cancelling stops future ticks."""
-
-    __slots__ = ("_engine", "_box")
-
-    def __init__(self, engine: Engine, box: list) -> None:
-        super().__init__(0.0, 0, -1, lambda: None, ())
-        self._engine = engine
-        self._box = box
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._box:
-            self._box[0].cancel()

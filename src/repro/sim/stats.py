@@ -1,23 +1,18 @@
 """Online statistics accumulators used throughout the testbed.
 
-All accumulators are single-pass and O(1) memory except
-:class:`Reservoir`, which keeps a bounded sample for quantiles.
+All accumulators are single-pass; :class:`RateMeter` keeps a bounded
+history of fixed-width bins.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "Welford",
-    "Counter",
     "TimeWeighted",
-    "Reservoir",
     "RateMeter",
-    "Series",
 ]
 
 
@@ -88,32 +83,6 @@ class Welford:
         return f"Welford(n={self.n}, mean={self.mean:.6g}, stdev={self.stdev:.6g})"
 
 
-class Counter:
-    """A named bag of integer counters with dict-like access."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def inc(self, name: str, by: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + by
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self._counts!r})"
-
-
 class TimeWeighted:
     """Time-weighted average of a piecewise-constant signal.
 
@@ -157,38 +126,6 @@ class TimeWeighted:
         return area / span if span > 0 else self._value
 
 
-class Reservoir:
-    """Fixed-size uniform reservoir sample for quantile estimation."""
-
-    def __init__(self, capacity: int = 4096, rng: Optional[np.random.Generator] = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._rng = rng or np.random.default_rng(0)
-        self._sample: List[float] = []
-        self.n = 0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        if len(self._sample) < self.capacity:
-            self._sample.append(float(x))
-        else:
-            j = int(self._rng.integers(0, self.n))
-            if j < self.capacity:
-                self._sample[j] = float(x)
-
-    def quantile(self, q: float) -> float:
-        if not self._sample:
-            return float("nan")
-        return float(np.quantile(np.asarray(self._sample), q))
-
-    def quantiles(self, qs: Sequence[float]) -> List[float]:
-        if not self._sample:
-            return [float("nan")] * len(qs)
-        arr = np.asarray(self._sample)
-        return [float(v) for v in np.quantile(arr, qs)]
-
-
 class RateMeter:
     """Event rate estimation over a sliding history of fixed-width bins."""
 
@@ -223,34 +160,3 @@ class RateMeter:
         if not self._bins:
             return 0.0
         return max(c for _, c in self._bins) / self.bin_width
-
-
-class Series:
-    """Append-only (t, value) series with numpy export; used for figures."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._t: List[float] = []
-        self._v: List[float] = []
-
-    def add(self, t: float, value: float) -> None:
-        if self._t and t < self._t[-1]:
-            raise ValueError("series times must be non-decreasing")
-        self._t.append(float(t))
-        self._v.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._t)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._v)
-
-    def last(self) -> Tuple[float, float]:
-        if not self._t:
-            raise IndexError("empty series")
-        return self._t[-1], self._v[-1]

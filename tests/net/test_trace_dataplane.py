@@ -230,22 +230,6 @@ class TestReplayEquivalence:
         assert (replay_log(trace, "batched", speedup, start_at)
                 == replay_log(trace, "scheduled", speedup, start_at))
 
-    def test_cursor_cancel_stops_remainder(self):
-        trace = Trace("c")
-        for i in range(5):
-            trace.append(float(i), Packet(src=A, dst=B, sport=i))
-        engine = Engine()
-        seen = []
-
-        def sink(pkt):
-            seen.append(pkt.sport)
-            if pkt.sport == 2:
-                cursor.cancel()
-
-        cursor = trace.replay(engine, sink)
-        engine.run()
-        assert seen == [0, 1, 2]
-
     def test_nonpositive_speedup_rejected(self):
         trace = Trace("m")
         trace.append(0.0, Packet(src=A, dst=B))

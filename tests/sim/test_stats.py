@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, RateMeter, Reservoir, Series, TimeWeighted, Welford
+from repro.sim.stats import RateMeter, TimeWeighted, Welford
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -65,19 +65,6 @@ class TestWelford:
         assert Welford().merge(w).mean == pytest.approx(1.5)
 
 
-class TestCounter:
-    def test_basic(self):
-        c = Counter()
-        c.inc("a")
-        c.inc("a", 2)
-        c.inc("b")
-        assert c["a"] == 3
-        assert c.get("b") == 1
-        assert c.get("missing") == 0
-        assert c.total == 4
-        assert c.as_dict() == {"a": 3, "b": 1}
-
-
 class TestTimeWeighted:
     def test_constant_signal(self):
         tw = TimeWeighted(t0=0.0, value=2.0)
@@ -118,40 +105,6 @@ class TestTimeWeighted:
         assert min(values) - 1e-9 <= avg <= max(values) + 1e-9
 
 
-class TestReservoir:
-    def test_small_sample_exact(self):
-        r = Reservoir(capacity=100)
-        for x in range(10):
-            r.add(float(x))
-        assert r.quantile(0.0) == 0.0
-        assert r.quantile(1.0) == 9.0
-        assert r.quantile(0.5) == pytest.approx(4.5)
-
-    def test_capacity_bounds_memory(self):
-        r = Reservoir(capacity=32, rng=np.random.default_rng(1))
-        for x in range(10_000):
-            r.add(float(x))
-        assert r.n == 10_000
-        assert len(r._sample) == 32
-
-    def test_quantile_approximation_uniform(self):
-        rng = np.random.default_rng(7)
-        r = Reservoir(capacity=2048, rng=rng)
-        for x in rng.random(20_000):
-            r.add(float(x))
-        q50, q90 = r.quantiles([0.5, 0.9])
-        assert q50 == pytest.approx(0.5, abs=0.05)
-        assert q90 == pytest.approx(0.9, abs=0.05)
-
-    def test_empty_quantile_nan(self):
-        assert math.isnan(Reservoir().quantile(0.5))
-        assert all(math.isnan(v) for v in Reservoir().quantiles([0.1, 0.9]))
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Reservoir(capacity=0)
-
-
 class TestRateMeter:
     def test_constant_rate(self):
         m = RateMeter(bin_width=1.0)
@@ -177,24 +130,3 @@ class TestRateMeter:
         m = RateMeter()
         with pytest.raises(ValueError):
             m.rate(1.0, window=0)
-
-
-class TestSeries:
-    def test_append_and_export(self):
-        s = Series("lat")
-        s.add(0.0, 1.0)
-        s.add(1.0, 2.0)
-        assert len(s) == 2
-        assert list(s.times) == [0.0, 1.0]
-        assert list(s.values) == [1.0, 2.0]
-        assert s.last() == (1.0, 2.0)
-
-    def test_time_order_enforced(self):
-        s = Series()
-        s.add(5.0, 0.0)
-        with pytest.raises(ValueError):
-            s.add(4.0, 0.0)
-
-    def test_empty_last_raises(self):
-        with pytest.raises(IndexError):
-            Series().last()
