@@ -13,6 +13,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..net.address import IPv4Address, Subnet
 from ..net.packet import Packet, Protocol, TcpFlags
+from ..traffic.payload import PAYLOAD_MODES, payload_batch
 from .base import Attack, AttackKind
 
 __all__ = ["SynFlood", "UdpFlood"]
@@ -88,8 +89,10 @@ class UdpFlood(Attack):
         super().__init__(description=f"UDP flood at {rate_pps:.0f} pps on {target}")
         if rate_pps <= 0 or duration_s <= 0:
             raise ConfigurationError("rate_pps and duration_s must be positive")
-        if payload_mode not in ("random", "logical", "http"):
+        if payload_mode not in PAYLOAD_MODES:
             raise ConfigurationError(f"unknown payload_mode {payload_mode!r}")
+        if payload_size < 0:
+            raise ConfigurationError("payload_size must be non-negative")
         self.attacker = attacker
         self.target = target
         self.rate_pps = float(rate_pps)
@@ -99,22 +102,15 @@ class UdpFlood(Attack):
         self.dport = int(dport)
 
     def _emit(self, rng: np.random.Generator):
-        from ..traffic import payload as pl
-
         n = int(self.rate_pps * self.duration_s)
         times = np.sort(rng.uniform(0, self.duration_s, size=n))
-        out = []
-        for t in times:
-            if self.payload_mode == "random":
-                body, blen = pl.random_payload(rng, self.payload_size), None
-            elif self.payload_mode == "http":
-                body = pl.http_request(rng)[: self.payload_size].ljust(
-                    self.payload_size, b" ")
-                blen = None
-            else:
-                body, blen = None, self.payload_size
-            out.append((float(t), Packet(
-                src=self.attacker, dst=self.target,
-                sport=int(rng.integers(1024, 65535)), dport=self.dport,
-                proto=Protocol.UDP, payload=body, payload_len=blen)))
-        return out
+        payloads, cols = payload_batch(rng, self.payload_mode,
+                                       self.payload_size, n,
+                                       tail=(65535 - 1024,))
+        blen = self.payload_size if self.payload_mode == "logical" else None
+        return [(t, Packet(
+            src=self.attacker, dst=self.target, sport=1024 + sport,
+            dport=self.dport, proto=Protocol.UDP, payload=body,
+            payload_len=blen))
+            for t, body, (sport,) in zip(times.tolist(), payloads,
+                                         cols.tolist())]

@@ -37,7 +37,10 @@ from ..core.requirements import RequirementSet
 from ..core.scorecard import Scorecard
 from ..core.scoring import WeightedResult, rank_products, weighted_scores
 from ..core.weighting import derive_weights
+from ..errors import ConfigurationError
 from ..products.base import DeploymentSnapshot, Product
+from ..sim.faults import plan_names
+from ..traffic.payload import PAYLOAD_MODES
 from .corpus import corpus_root, use_corpus
 from .ground_truth import AccuracyResult
 from .latency import (
@@ -48,7 +51,7 @@ from .latency import (
 )
 from .observer import MeasurementBundle, fill_scorecard
 from .overhead import OverheadReport, measure_host_overhead
-from .testbed import EvalTestbed
+from .testbed import PROFILES, EvalTestbed
 from .throughput import (
     LoadProbe,
     ThroughputReport,
@@ -95,6 +98,22 @@ class EvaluationOptions:
     #: on-disk result cache directory; None disables memoization and the
     #: shared trace corpus (``<cache_dir>/traces/``)
     cache_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # fail before the first unit runs, not in the first load probe
+        if self.payload_mode not in PAYLOAD_MODES:
+            raise ConfigurationError(
+                f"unknown payload_mode {self.payload_mode!r}")
+        if self.profile not in PROFILES:
+            raise ConfigurationError(f"unknown profile {self.profile!r}")
+        if self.faults not in plan_names():
+            raise ConfigurationError(f"unknown fault plan {self.faults!r}")
+        if self.throughput_probe_s <= 0:
+            raise ConfigurationError("throughput_probe_s must be positive")
+        if not self.throughput_rates_pps or any(
+                r <= 0 for r in self.throughput_rates_pps):
+            raise ConfigurationError(
+                "throughput_rates_pps must be non-empty and positive")
 
 
 @dataclass

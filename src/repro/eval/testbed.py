@@ -23,7 +23,10 @@ from .corpus import corpus_scenario, corpus_trace
 from .ground_truth import AccuracyResult, score_alerts
 
 __all__ = ["EvalTestbed", "cluster_scenario", "ecommerce_scenario",
-           "EXTERNAL_ATTACKER"]
+           "EXTERNAL_ATTACKER", "PROFILES"]
+
+#: the background-traffic site profiles :class:`EvalTestbed` can generate
+PROFILES = ("cluster", "ecommerce")
 
 EXTERNAL_ATTACKER = IPv4Address("198.18.0.1")
 

@@ -12,7 +12,13 @@ with *realistic* packet content, not random flood data:
 
 Offered load is generated by :func:`make_load_trace`, whose
 ``payload_mode`` knob ("http" realistic / "random" / "logical") also drives
-the lesson-1 bench (E3).
+the lesson-1 bench (E3).  A trace's random draws are made in one
+exact-stream batch (:func:`~repro.traffic.payload.payload_batch` over
+:func:`~repro.traffic.generators.bounded_draws`): the same values, and the
+same generator end state, as drawing packet by packet, because the batch
+replays numpy's Lemire bounded draw on the same 32-bit stream.  A
+differential test pins that exactness against the per-packet reference in
+``tests/oracles/load.py``.
 """
 
 from __future__ import annotations
@@ -51,29 +57,32 @@ def make_load_trace(
     payload_size: int = 400,
     src_pool: int = 64,
 ) -> Trace:
-    """Benign load traffic at a fixed rate with selectable content realism."""
+    """Benign load traffic at a fixed rate with selectable content realism.
+
+    Every mode carries exactly ``payload_size`` bytes, so that content
+    *realism*, not packet size, is the experimental variable.  Sources are
+    drawn from the first ``src_pool`` hosts of 198.51.100.0/24.
+    """
     if rate_pps <= 0 or duration_s <= 0:
         raise MeasurementError("rate_pps and duration_s must be positive")
-    if payload_mode not in ("http", "random", "logical"):
+    if payload_mode not in pl.PAYLOAD_MODES:
         raise MeasurementError(f"unknown payload_mode {payload_mode!r}")
+    if payload_size < 0:
+        raise MeasurementError("payload_size must be non-negative")
+    if not 1 <= src_pool <= 254:
+        raise MeasurementError("src_pool must lie in [1, 254]")
     n = int(rate_pps * duration_s)
     times = np.sort(rng.uniform(0, duration_s, size=n))
-    base = IPv4Address("198.51.100.0").value
+    payloads, cols = pl.payload_batch(rng, payload_mode, payload_size, n,
+                                      tail=(src_pool, 65535 - 1024))
+    blen = payload_size if payload_mode == "logical" else None
+    base = IPv4Address("198.51.100.0").value + 1
+    srcs = [IPv4Address(base + i) for i in range(src_pool)]
     trace = Trace(f"load-{payload_mode}")
-    for t in times:
-        # All modes carry exactly payload_size bytes so that content
-        # *realism*, not packet size, is the experimental variable.
-        if payload_mode == "http":
-            body = pl.http_request(rng)[:payload_size].ljust(payload_size, b" ")
-            blen = None
-        elif payload_mode == "random":
-            body, blen = pl.random_payload(rng, payload_size), None
-        else:
-            body, blen = None, payload_size
-        trace.append(float(t), Packet(
-            src=IPv4Address(base + 1 + int(rng.integers(0, src_pool))),
-            dst=dst,
-            sport=int(rng.integers(1024, 65535)), dport=80,
+    for t, body, (src, sport) in zip(times.tolist(), payloads,
+                                     cols.tolist()):
+        trace.append(t, Packet(
+            src=srcs[src], dst=dst, sport=1024 + sport, dport=80,
             proto=Protocol.TCP, payload=body, payload_len=blen))
     return trace
 

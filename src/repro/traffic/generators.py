@@ -1,19 +1,22 @@
-"""Arrival-process generators.
+"""Arrival-process generators and batched bounded draws.
 
 Session and packet arrival times for the background-traffic profiles.
 Each generator is a thin, seeded wrapper that produces arrival time arrays;
-profiles turn arrivals into concrete packets.
+profiles turn arrivals into concrete packets.  :func:`bounded_draws` lets a
+per-packet loop of small integer choices be drawn in one batch without
+changing a single value of the stream.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["poisson_arrivals", "constant_rate_arrivals", "onoff_arrivals"]
+__all__ = ["poisson_arrivals", "constant_rate_arrivals", "onoff_arrivals",
+           "bounded_draws"]
 
 
 def poisson_arrivals(
@@ -94,3 +97,83 @@ def onoff_arrivals(
     if not out:
         return np.empty(0)
     return np.concatenate(out)
+
+
+_WORD = 1 << 32
+#: draw slots per batch, bounding the scratch arrays of wide column patterns
+_BLOCK_SLOTS = 1 << 14
+
+
+def bounded_draws(
+    rng: np.random.Generator,
+    sizes: Sequence[int],
+    n: int,
+) -> np.ndarray:
+    """``n`` rows of ``[int(rng.integers(0, s)) for s in sizes]`` in one batch.
+
+    Returns an ``(n, len(sizes))`` uint32 array (every value is below
+    2**32).  Row ``i``, column ``j`` holds exactly what the ``j``-th
+    scalar call of the ``i``-th pass of that loop would return, and ``rng``
+    ends in the same state, because this replays numpy's bounded draw for ranges of at
+    most 2**32: take one word ``w`` of the generator's buffered 32-bit
+    stream, return ``(w * s) >> 32`` (Lemire's multiply-shift) unless the
+    low half of ``w * s`` falls below ``(2**32 - s) % s``, in which case
+    take the next word for the same column.  ``s == 1`` consumes nothing
+    (always 0) and ``s == 2**32`` returns the raw word.  The words come
+    from ``rng.integers(0, 2**32, dtype=np.uint32)`` -- the same stream --
+    and only as many as slots remain unfilled, so a rejection costs one
+    extra word drawn at the end, never one the loop would not take.
+
+    >>> a = bounded_draws(np.random.default_rng(7), (10, 3, 64), 4)
+    >>> r = np.random.default_rng(7)
+    >>> a.tolist() == [[int(r.integers(0, s)) for s in (10, 3, 64)]
+    ...                for _ in range(4)]
+    True
+    """
+    sizes = [int(s) for s in sizes]
+    if any(not 1 <= s <= _WORD for s in sizes):
+        raise ConfigurationError(f"sizes must lie in [1, 2**32]: {sizes}")
+    if n < 0:
+        raise ConfigurationError("n must be non-negative")
+    out = np.zeros((n, len(sizes)), dtype=np.uint32)
+    live = [j for j, s in enumerate(sizes) if s > 1]
+    if not live:
+        return out
+    row_sizes = np.array([sizes[j] for j in live], dtype=np.uint64)
+    rows_per_block = max(1, _BLOCK_SLOTS // len(live))
+    for start in range(0, n, rows_per_block):
+        rows = min(rows_per_block, n - start)
+        out[start:start + rows, live] = _lemire_rows(
+            rng, row_sizes, rows).reshape(rows, len(live))
+    return out
+
+
+def _lemire_rows(rng: np.random.Generator, row_sizes: np.ndarray,
+                 rows: int) -> np.ndarray:
+    """Flat ``rows * len(row_sizes)`` bounded draws; every size is > 1."""
+    slot_sizes = np.tile(row_sizes, rows)
+    thresholds = (_WORD - slot_sizes) % slot_sizes
+    values = np.empty(len(slot_sizes), dtype=np.uint64)
+    done = 0
+    words = np.empty(0, dtype=np.uint64)
+    # words examined per step: a rejection ends a step, so the window
+    # tracks the gap between rejections instead of rescanning every word
+    window = len(values)
+    while done < len(values):
+        if not len(words):
+            words = rng.integers(0, _WORD, size=len(values) - done,
+                                 dtype=np.uint32).astype(np.uint64)
+        end = done + min(window, len(words))
+        m = words[:end - done] * slot_sizes[done:end]
+        rejected = np.flatnonzero((m & 0xFFFFFFFF) < thresholds[done:end])
+        if len(rejected):
+            accepted = int(rejected[0])
+            spent = accepted + 1  # the rejected word is used up
+            window = 2 * accepted + 64
+        else:
+            accepted = spent = end - done
+            window *= 2
+        values[done:done + accepted] = m[:accepted] >> 32
+        done += accepted
+        words = words[spent:]
+    return values

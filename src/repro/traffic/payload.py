@@ -8,17 +8,23 @@ fixed-format binary messages of a distributed real-time cluster -- alongside
 a :func:`random_payload` for the contrast experiment (bench E3).
 
 Content is deterministic given the RNG stream, so traces are reproducible.
+:func:`payload_batch` draws the fixed-size payloads of a whole load trace or
+flood at once, value-identical to building them packet by packet.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ConfigurationError
+from .generators import bounded_draws
+
 __all__ = [
+    "PAYLOAD_MODES",
     "http_request",
     "http_response",
     "smtp_exchange",
@@ -26,6 +32,7 @@ __all__ = [
     "cluster_telemetry",
     "cluster_command",
     "random_payload",
+    "payload_batch",
     "shannon_entropy",
     "shannon_entropy_prefix",
 ]
@@ -56,6 +63,11 @@ def http_request(
     if path is None:
         path = _PATHS[int(rng.integers(0, len(_PATHS)))]
     agent = _AGENTS[int(rng.integers(0, len(_AGENTS)))]
+    return _format_request(path, agent, host, method, body)
+
+
+def _format_request(path: str, agent: str, host: str = "www.example.mil",
+                    method: str = "GET", body: bytes = b"") -> bytes:
     head = (
         f"{method} {path} HTTP/1.0\r\n"
         f"Host: {host}\r\n"
@@ -141,6 +153,61 @@ def random_payload(rng: np.random.Generator, size: int) -> bytes:
     if size <= 0:
         return b""
     return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+
+
+#: load content realism, the lesson-1 knob: realistic / flood / size-only
+PAYLOAD_MODES = ("http", "random", "logical")
+
+
+def payload_batch(
+    rng: np.random.Generator,
+    mode: str,
+    size: int,
+    n: int,
+    tail: Sequence[int] = (),
+) -> Tuple[List[Optional[bytes]], np.ndarray]:
+    """``n`` packets' worth of ``size``-byte payloads plus per-packet draws.
+
+    The batch form of a loop that, per packet, builds a payload and then
+    calls ``int(rng.integers(0, s))`` for each ``s`` in ``tail``; the
+    payloads, the ``(n, len(tail))`` tail columns and the end state of
+    ``rng`` equal that loop's.  Per mode, the loop's payload is:
+
+    * ``"http"`` -- ``http_request(rng)`` cut or space-padded to ``size``.
+      Only the path and agent are drawn, so the ``len(_PATHS) *
+      len(_AGENTS)`` distinct bodies are built once and shared;
+    * ``"random"`` -- ``random_payload(rng, size)``: numpy fills bytes four
+      at a time from 32-bit words, little-endian, so it is ``ceil(size/4)``
+      raw-word columns cut to ``size`` bytes;
+    * ``"logical"`` -- ``None`` (no draws; the caller sets ``payload_len``).
+    """
+    if mode not in PAYLOAD_MODES:
+        raise ConfigurationError(f"unknown payload mode {mode!r}")
+    if size < 0:
+        raise ConfigurationError("payload size must be non-negative")
+    tail = tuple(tail)
+    if mode == "http":
+        head = (len(_PATHS), len(_AGENTS))
+    elif mode == "random":
+        head = (1 << 32,) * -(-size // 4)
+    else:
+        head = ()
+    cols = bounded_draws(rng, head + tail, n)
+    if mode == "http":
+        bodies = [_format_request(path, agent)[:size].ljust(size, b" ")
+                  for path in _PATHS for agent in _AGENTS]
+        picks = cols[:, 0] * len(_AGENTS) + cols[:, 1]
+        payloads: List[Optional[bytes]] = [bodies[i] for i in picks.tolist()]
+    elif mode == "random":
+        # each row's leading words, as little-endian bytes, are its payload
+        raw = cols.astype("<u4", copy=False).reshape(-1).view(np.uint8)
+        stride = 4 * cols.shape[1]
+        payloads = [raw[i * stride:i * stride + size].tobytes()
+                    for i in range(n)]
+    else:
+        payloads = [None] * n
+    # a copy, so the payload words are freed with ``cols``
+    return payloads, cols[:, len(head):].copy()
 
 
 def shannon_entropy(data: bytes) -> float:

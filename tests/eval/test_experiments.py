@@ -48,6 +48,19 @@ class TestLoadTrace:
             make_load_trace(rng, 0, 1.0, DST)
         with pytest.raises(MeasurementError):
             make_load_trace(rng, 10, 1.0, DST, payload_mode="weird")
+        with pytest.raises(MeasurementError):
+            make_load_trace(rng, 10, 1.0, DST, payload_size=-1)
+        for pool in (0, -3, 255):
+            with pytest.raises(MeasurementError):
+                make_load_trace(rng, 10, 1.0, DST, src_pool=pool)
+
+    def test_sources_stay_in_pool(self):
+        rng = np.random.default_rng(1)
+        trace = make_load_trace(rng, 2000, 1.0, DST, src_pool=254)
+        sources = {r.packet.src.value for r in trace}
+        base = IPv4Address("198.51.100.0").value
+        assert sources <= set(range(base + 1, base + 255))
+        assert len(sources) > 200
 
 
 class TestThroughput:

@@ -9,6 +9,7 @@ from repro.core.profiles import (
     realtime_cluster_requirements,
 )
 from repro.core.scorecard import Scorecard
+from repro.errors import ConfigurationError
 from repro.eval.observer import fill_scorecard, score_open_source
 from repro.eval.runner import (
     EvaluationOptions,
@@ -152,3 +153,31 @@ class TestFieldEvaluation:
                                     "Observed False Negative Ratio")
         assert entry.raw_value is not None
         assert entry.evidence
+
+
+class TestEvaluationOptions:
+    """Bad options fail at construction, before any unit runs."""
+
+    @pytest.mark.parametrize("bad", [
+        {"payload_mode": "flood"},
+        {"profile": "campus"},
+        {"faults": "meltdown"},
+        {"throughput_probe_s": 0.0},
+        {"throughput_probe_s": -1.0},
+        {"throughput_rates_pps": ()},
+        {"throughput_rates_pps": (500, 0)},
+        {"throughput_rates_pps": (-500,)},
+    ])
+    def test_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigurationError):
+            EvaluationOptions(**bad)
+
+    @pytest.mark.parametrize("good", [
+        {"payload_mode": "random"},
+        {"payload_mode": "logical"},
+        {"profile": "ecommerce"},
+        {"faults": "crash-recover"},
+        {"throughput_rates_pps": [250.5]},
+    ])
+    def test_accepted(self, good):
+        EvaluationOptions(**good)

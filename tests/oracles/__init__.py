@@ -11,5 +11,7 @@ with these, item for item.  Nothing under ``src/`` imports them.
 * :mod:`tests.oracles.anomaly` -- anomaly scoring that recomputes every
   feature per packet from a frozen engine's trained state;
 * :mod:`tests.oracles.trace` -- the v1 per-record trace codec and eager
-  per-record replay scheduling.
+  per-record replay scheduling;
+* :mod:`tests.oracles.load` -- load-probe traces and UDP floods built one
+  packet, and one scalar draw, at a time.
 """
