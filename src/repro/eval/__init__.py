@@ -37,8 +37,6 @@ from .parallel import (
     ResultCache,
     WorkUnit,
     clear_cache,
-    evaluate_field_parallel,
-    evaluate_product_parallel,
     last_cache_stats,
     last_corpus_stats,
 )
@@ -58,7 +56,6 @@ from .throughput import (
     LoadProbe,
     ThroughputReport,
     make_load_trace,
-    measure_throughput,
     probe_rate,
     report_from_probes,
 )
@@ -102,8 +99,6 @@ __all__ = [
     "ResultCache",
     "WorkUnit",
     "clear_cache",
-    "evaluate_field_parallel",
-    "evaluate_product_parallel",
     "last_cache_stats",
     "last_corpus_stats",
     "CorpusStats",
@@ -118,7 +113,6 @@ __all__ = [
     "LoadProbe",
     "ThroughputReport",
     "make_load_trace",
-    "measure_throughput",
     "probe_rate",
     "report_from_probes",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -32,23 +31,13 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
 
 from .. import __version__
 from ..attacks.catalog import CATALOG_VERSION
-from ..core.catalog import MetricCatalog
-from ..core.requirements import RequirementSet
+from ..errors import ConfigurationError
 from ..products.base import Product
 from .corpus import CorpusStats, clear_corpus, corpus_stats
-from .runner import (
-    EvaluationOptions,
-    FieldEvaluation,
-    ProductEvaluation,
-    assemble_evaluation,
-    finish_field,
-    measure_rate,
-    measure_scenario,
-)
+from .runner import EvaluationOptions, measure_rate, measure_scenario
 
 __all__ = ["DEFAULT_CACHE_DIR", "WorkUnit", "CacheStats", "ResultCache",
            "clear_cache", "plan_units", "run_units", "unit_key",
-           "evaluate_product_parallel", "evaluate_field_parallel",
            "last_cache_stats", "last_corpus_stats"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -254,14 +243,21 @@ def run_units(
 ) -> Dict[WorkUnit, object]:
     """Execute the full shard plan and return ``{unit: result}``.
 
-    Cached units are loaded first; the rest are fanned out across
-    ``options.workers`` processes (unpicklable factories -- e.g. lambdas
-    from an interactive sweep -- degrade gracefully to in-process
-    execution).  The returned mapping is keyed by :class:`WorkUnit` in
-    canonical order, independent of completion order.
+    Cached units are loaded first; the rest run in-line at ``workers=1``
+    and are fanned out across ``options.workers`` processes otherwise
+    (unpicklable factories -- e.g. lambdas from an interactive sweep --
+    degrade gracefully to in-process execution).  The returned mapping is
+    keyed by :class:`WorkUnit` in canonical order, independent of
+    completion order.  Products are identified by name, so two factories
+    building same-named products are rejected before any unit runs.
     """
     global _LAST_STATS, _LAST_CORPUS
     names = [factory().name for factory in factories]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ConfigurationError(
+            f"duplicate product name(s) {', '.join(duplicates)}: every "
+            "factory in a field must build a distinctly named product")
     by_name = dict(zip(names, factories))
     units = plan_units(names, options)
 
@@ -312,43 +308,3 @@ def run_units(
     _LAST_CORPUS = corpus_totals
     # canonical order: by work-unit key, never by completion time
     return {unit: results[unit] for unit in sorted(results)}
-
-
-def _assemble(results: Dict[WorkUnit, object], names: Sequence[str],
-              options: EvaluationOptions) -> Dict[str, ProductEvaluation]:
-    evaluations: Dict[str, ProductEvaluation] = {}
-    for index, name in enumerate(names):
-        scenario = results[WorkUnit(index=index, product=name,
-                                    kind="scenario")]
-        probes = [results[unit] for unit in sorted(results)
-                  if unit.index == index and unit.kind == "rate"]
-        evaluations[name] = assemble_evaluation(scenario, probes, options)
-    return evaluations
-
-
-def evaluate_product_parallel(
-    factory: ProductFactory,
-    options: EvaluationOptions,
-) -> ProductEvaluation:
-    """Parallel/cached equivalent of :func:`repro.eval.evaluate_product`."""
-    name = factory().name
-    results = run_units([factory], options)
-    return _assemble(results, [name], options)[name]
-
-
-def evaluate_field_parallel(
-    factories: Sequence[ProductFactory],
-    requirements: RequirementSet,
-    options: EvaluationOptions,
-    catalog: Optional[MetricCatalog] = None,
-) -> FieldEvaluation:
-    """Parallel/cached equivalent of :func:`repro.eval.evaluate_field`.
-
-    Every unit of every product shares one pool, so a slow product's
-    throughput sweep overlaps the next product's scenario run.  Scoring
-    and weighting happen in the parent process, in factory input order.
-    """
-    names = [factory().name for factory in factories]
-    results = run_units(factories, options)
-    evaluations = _assemble(results, names, options)
-    return finish_field(evaluations, requirements, catalog)

@@ -16,18 +16,19 @@ functions over picklable inputs and results:
   the throughput sweep.
 
 :func:`assemble_evaluation` merges completed units back into a
-:class:`ProductEvaluation`.  The serial path below runs the units in-line;
-``repro.eval.parallel`` fans the same units out across a process pool and
-memoizes them on disk (``EvaluationOptions.workers`` / ``cache_dir``),
-producing bit-identical results by construction.
+:class:`ProductEvaluation`.  :func:`evaluate_product` and
+:func:`evaluate_field` always execute the unit plan through
+:func:`repro.eval.parallel.run_units`, which runs the units in-line at
+``workers=1``, on a process pool otherwise, and memoizes them on disk when
+``cache_dir`` is set -- bit-identical results by construction.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dependability import DependabilityReport
@@ -114,6 +115,17 @@ class EvaluationOptions:
                 r <= 0 for r in self.throughput_rates_pps):
             raise ConfigurationError(
                 "throughput_rates_pps must be non-empty and positive")
+        if not self.fault_severities or any(
+                s <= 0 for s in self.fault_severities):
+            raise ConfigurationError(
+                "fault_severities must be non-empty and positive")
+        if self.n_hosts < 3:
+            raise ConfigurationError(
+                "n_hosts must be >= 3 (the attack suite needs a server, "
+                "an insider and a victim)")
+        if self.workers < 0:
+            raise ConfigurationError(
+                "workers must be >= 0 (0 = one per CPU)")
 
 
 @dataclass
@@ -272,20 +284,33 @@ def assemble_evaluation(
 # ----------------------------------------------------------------------
 # the battery
 # ----------------------------------------------------------------------
+def _evaluate_units(
+    factories: Sequence[ProductFactory],
+    opts: EvaluationOptions,
+) -> Dict[str, ProductEvaluation]:
+    """Run the unit plan for ``factories`` and assemble one evaluation per
+    product, keyed by name in factory input order."""
+    from .parallel import run_units  # parallel imports the units above
+
+    scenarios: Dict[str, ScenarioMeasurement] = {}
+    probes: Dict[str, List[LoadProbe]] = {}
+    for unit, result in run_units(factories, opts).items():
+        if unit.kind == "scenario":
+            scenarios[unit.product] = result
+        else:
+            probes.setdefault(unit.product, []).append(result)
+    return {name: assemble_evaluation(scenario, probes[name], opts)
+            for name, scenario in scenarios.items()}
+
+
 def evaluate_product(
     factory: ProductFactory,
     options: Optional[EvaluationOptions] = None,
 ) -> ProductEvaluation:
     """Run the full measurement battery against one product."""
-    opts = options or EvaluationOptions()
-    if opts.workers != 1 or opts.cache_dir is not None:
-        from .parallel import evaluate_product_parallel
-
-        return evaluate_product_parallel(factory, opts)
-    scenario = measure_scenario(factory, opts)
-    probes = [measure_rate(factory, float(rate), opts)
-              for rate in sorted(opts.throughput_rates_pps)]
-    return assemble_evaluation(scenario, probes, opts)
+    (evaluation,) = _evaluate_units([factory],
+                                    options or EvaluationOptions()).values()
+    return evaluation
 
 
 def finish_field(
@@ -296,7 +321,7 @@ def finish_field(
     """Score, weight, and rank completed product evaluations.
 
     Products are scored in the order of ``evaluations`` (the factory input
-    order), so serial and parallel execution render identical scorecards.
+    order), so any worker count renders identical scorecards.
     """
     catalog = catalog or default_catalog()
     scorecard = Scorecard(catalog)
@@ -316,14 +341,12 @@ def evaluate_field(
     options: Optional[EvaluationOptions] = None,
     catalog: Optional[MetricCatalog] = None,
 ) -> FieldEvaluation:
-    """Evaluate every product and rank them under a requirement profile."""
-    opts = options or EvaluationOptions()
-    if opts.workers != 1 or opts.cache_dir is not None:
-        from .parallel import evaluate_field_parallel
+    """Evaluate every product and rank them under a requirement profile.
 
-        return evaluate_field_parallel(factories, requirements, opts, catalog)
-    evaluations: Dict[str, ProductEvaluation] = {}
-    for factory in factories:
-        evaluation = evaluate_product(factory, opts)
-        evaluations[evaluation.name] = evaluation
-    return finish_field(evaluations, requirements, catalog)
+    With ``workers > 1`` every unit of every product shares one pool, so
+    a slow product's throughput sweep overlaps the next product's scenario
+    run.
+    """
+    return finish_field(
+        _evaluate_units(factories, options or EvaluationOptions()),
+        requirements, catalog)

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.address import IPv4Address, Subnet
 from repro.net.packet import Protocol, TcpFlags
-from repro.net.tcp import SessionTable
 from repro.attacks import (
     ATTACK_CLASSES,
     AttackKind,
@@ -25,6 +24,7 @@ from repro.attacks import (
     standard_attack_suite,
 )
 from repro.traffic.payload import shannon_entropy
+from tests.oracles.tcp import SessionTable
 
 ATT = IPv4Address("198.18.0.1")
 TGT = IPv4Address("10.0.0.5")

@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.eval.accuracy import equal_error_rate, run_accuracy, sensitivity_sweep
 from repro.eval.latency import measure_induced_latency, timeliness_from_accuracy
 from repro.eval.overhead import logging_level_overhead, measure_host_overhead
 from repro.eval.testbed import EvalTestbed
-from repro.eval.throughput import make_load_trace, measure_throughput, probe_rate
+from repro.eval.runner import EvaluationOptions, measure_rate
+from repro.eval.throughput import (
+    LoadProbe,
+    make_load_trace,
+    probe_rate,
+    report_from_probes,
+)
 from repro.ids.host import LoggingLevel
 from repro.net.address import IPv4Address
 from repro.products import AafidProduct, ManhuntProduct, NidProduct
@@ -75,10 +81,15 @@ class TestThroughput:
         assert probe.dropped_packets > 0
         assert 0 < probe.loss_ratio <= 1.0
 
+    @staticmethod
+    def _report(factory, name, rates, probe_s):
+        """The throughput report the runner assembles from its rate units."""
+        opts = EvaluationOptions(throughput_probe_s=probe_s)
+        probes = [measure_rate(factory, rate, opts) for rate in rates]
+        return report_from_probes(name, opts.payload_mode, probes)
+
     def test_report_shape(self):
-        report = measure_throughput(
-            lambda: NidProduct(), "sim-nid",
-            rates_pps=(500, 4000, 32000), duration_s=0.4)
+        report = self._report(NidProduct, "sim-nid", (32000, 500, 4000), 0.4)
         assert report.zero_loss_pps >= 500
         assert report.system_throughput_pps > 0
         assert len(report.probes) == 3
@@ -87,20 +98,86 @@ class TestThroughput:
         assert rates == sorted(rates)
 
     def test_lethal_dose_observed_for_fragile_product(self):
-        report = measure_throughput(
-            lambda: NidProduct(), "sim-nid",
-            rates_pps=(1000, 64000), duration_s=1.0)
+        report = self._report(NidProduct, "sim-nid", (1000, 64000), 1.0)
         assert report.lethal_dose_pps == 64000
 
     def test_resilient_product_no_lethal_dose(self):
-        report = measure_throughput(
-            lambda: ManhuntProduct(), "sim-manhunt",
-            rates_pps=(1000, 16000), duration_s=0.4)
+        report = self._report(ManhuntProduct, "sim-manhunt", (1000, 16000),
+                              0.4)
         assert report.lethal_dose_pps is None
 
     def test_validation(self):
         with pytest.raises(MeasurementError):
-            measure_throughput(lambda: NidProduct(), "x", rates_pps=())
+            report_from_probes("x", "http", [])
+        with pytest.raises(ConfigurationError):
+            EvaluationOptions(throughput_rates_pps=())
+
+
+def probe(rate, dropped=0, crashed=False, processed=None, offered=None):
+    """A synthetic one-second probe at ``rate`` packets/s."""
+    offered = int(rate) if offered is None else offered
+    processed = offered - dropped if processed is None else processed
+    return LoadProbe(offered_pps=rate, offered_packets=offered,
+                     processed_packets=processed, dropped_packets=dropped,
+                     crashed=crashed)
+
+
+class TestLoadProbe:
+    def test_loss_ratio(self):
+        assert probe(1000, dropped=250).loss_ratio == pytest.approx(0.25)
+
+    def test_loss_ratio_zero_when_nothing_offered(self):
+        assert probe(1000, offered=0, processed=0).loss_ratio == 0.0
+
+    def test_processed_pps_scales_by_probe_window(self):
+        # 2000 packets offered at 1000 pps is a 2 s window
+        p = probe(1000, offered=2000, processed=1500)
+        assert p.processed_pps == pytest.approx(750.0)
+
+
+class TestReportFromProbes:
+    def test_order_independent(self):
+        probes = [probe(4000, dropped=10), probe(500), probe(2000),
+                  probe(8000, crashed=True, dropped=900)]
+        fwd = report_from_probes("p", "http", probes)
+        rev = report_from_probes("p", "http", probes[::-1])
+        assert fwd == rev
+        assert [p.offered_pps for p in fwd.probes] == [500, 2000, 4000, 8000]
+
+    def test_zero_loss_stops_at_first_lossy_rate(self):
+        # a lossless rate above a lossy one does not count
+        report = report_from_probes(
+            "p", "http", [probe(500), probe(1000, dropped=1), probe(2000)])
+        assert report.zero_loss_pps == 500
+
+    def test_zero_loss_zero_when_lowest_rate_drops(self):
+        report = report_from_probes("p", "http",
+                                    [probe(500, dropped=3), probe(1000)])
+        assert report.zero_loss_pps == 0.0
+
+    def test_crash_without_drops_ends_zero_loss_run(self):
+        report = report_from_probes(
+            "p", "http", [probe(500), probe(1000, crashed=True)])
+        assert report.zero_loss_pps == 500
+        assert report.lethal_dose_pps == 1000
+
+    def test_lethal_dose_is_lowest_crashing_rate(self):
+        report = report_from_probes(
+            "p", "http", [probe(8000, crashed=True), probe(1000),
+                          probe(4000, crashed=True)])
+        assert report.lethal_dose_pps == 4000
+
+    def test_system_throughput_is_max_processed_rate(self):
+        # saturation: the highest offered rate need not process the most
+        report = report_from_probes(
+            "p", "http", [probe(1000), probe(4000, processed=3000,
+                                             dropped=1000),
+                          probe(8000, processed=2500, dropped=5500)])
+        assert report.system_throughput_pps == pytest.approx(3000.0)
+
+    def test_labels_carried(self):
+        report = report_from_probes("sim-nid", "random", [probe(1000)])
+        assert (report.product, report.payload_mode) == ("sim-nid", "random")
 
 
 class TestPayloadRealismEffect:
@@ -218,36 +295,3 @@ class TestAccuracyRuns:
         with pytest.raises(MeasurementError):
             sensitivity_sweep(lambda s: NidProduct(sensitivity=s), "x",
                               sensitivities=())
-
-
-class TestBisectZeroLoss:
-    def test_refines_between_brackets(self):
-        from repro.eval.throughput import bisect_zero_loss, probe_rate
-
-        rate = bisect_zero_loss(lambda: NidProduct(), lo_pps=500.0,
-                                hi_pps=32_000.0, rel_tol=0.25,
-                                duration_s=0.3)
-        assert 500.0 <= rate < 32_000.0
-        # the found rate is genuinely loss-free...
-        probe = probe_rate(NidProduct(), rate, duration_s=0.3, seed=0)
-        assert probe.dropped_packets == 0
-        # ...and 1.5x beyond it is not
-        beyond = probe_rate(NidProduct(), rate * 1.5, duration_s=0.3, seed=0)
-        assert beyond.dropped_packets > 0
-
-    def test_lossfree_upper_short_circuits(self):
-        from repro.eval.throughput import bisect_zero_loss
-
-        rate = bisect_zero_loss(lambda: ManhuntProduct(), lo_pps=500.0,
-                                hi_pps=2_000.0, duration_s=0.3)
-        assert rate == 2_000.0
-
-    def test_bad_brackets(self):
-        from repro.errors import MeasurementError
-        from repro.eval.throughput import bisect_zero_loss
-
-        with pytest.raises(MeasurementError):
-            bisect_zero_loss(lambda: NidProduct(), lo_pps=0, hi_pps=100)
-        with pytest.raises(MeasurementError):
-            bisect_zero_loss(lambda: NidProduct(), lo_pps=64_000.0,
-                             hi_pps=128_000.0, duration_s=0.3)

@@ -167,6 +167,12 @@ class TestEvaluationOptions:
         {"throughput_rates_pps": ()},
         {"throughput_rates_pps": (500, 0)},
         {"throughput_rates_pps": (-500,)},
+        {"workers": -1},
+        {"fault_severities": ()},
+        {"fault_severities": (0.0,)},
+        {"fault_severities": (1.0, -0.5)},
+        {"n_hosts": 2},
+        {"n_hosts": 0},
     ])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
@@ -178,6 +184,9 @@ class TestEvaluationOptions:
         {"profile": "ecommerce"},
         {"faults": "crash-recover"},
         {"throughput_rates_pps": [250.5]},
+        {"workers": 0},
+        {"fault_severities": [0.25]},
+        {"n_hosts": 3},
     ])
     def test_accepted(self, good):
         EvaluationOptions(**good)

@@ -8,12 +8,14 @@ cache hit must be indistinguishable from a fresh run.
 """
 
 import dataclasses
+import functools
 import os
 
 import pytest
 
 from repro.core.profiles import realtime_cluster_requirements
 from repro.core.report import format_weighted_results
+from repro.errors import ConfigurationError
 from repro.eval.parallel import (
     ResultCache,
     WorkUnit,
@@ -24,8 +26,11 @@ from repro.eval.parallel import (
 )
 from repro.eval.runner import (
     EvaluationOptions,
+    assemble_evaluation,
     evaluate_field,
     evaluate_product,
+    measure_rate,
+    measure_scenario,
 )
 from repro.products import (
     AafidProduct,
@@ -83,6 +88,14 @@ class TestSerialParallelEquivalence:
         assert serial.throughput == parallel.throughput
         assert serial.bundle == parallel.bundle
         assert serial == parallel
+
+    def test_inline_plan_equals_hand_run_units(self):
+        opts = options(workers=1)
+        reference = assemble_evaluation(
+            measure_scenario(ManhuntProduct, opts),
+            [measure_rate(ManhuntProduct, rate, opts)
+             for rate in opts.throughput_rates_pps], opts)
+        assert evaluate_product(ManhuntProduct, opts) == reference
 
     def test_field_evaluations_equal(self, serial_field, parallel_field):
         assert serial_field.evaluations == parallel_field.evaluations
@@ -152,6 +165,23 @@ class TestWorkPlan:
         changed = (unit_key(unit, options(**{name: CHANGED_OPTIONS[name]}))
                    != unit_key(unit, options()))
         assert changed == (name not in KEY_IGNORES[kind])
+
+
+class TestDuplicateProducts:
+    @pytest.mark.parametrize("workers,cached", [(1, False), (1, True),
+                                                (2, True)])
+    def test_rejected_before_any_unit_runs(self, tmp_path, workers, cached):
+        # two factories building the same-named product would share one
+        # evaluation slot: the field must be refused, not merged
+        cache_dir = str(tmp_path / "cache")
+        factories = [NidProduct, functools.partial(NidProduct,
+                                                   sensitivity=0.9)]
+        with pytest.raises(ConfigurationError, match="sim-nid"):
+            evaluate_field(factories, realtime_cluster_requirements(),
+                           options(workers=workers,
+                                   cache_dir=cache_dir if cached else None))
+        # no unit ran: nothing was cached and no trace was generated
+        assert not os.path.exists(cache_dir)
 
 
 class TestResultCache:

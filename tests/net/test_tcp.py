@@ -1,18 +1,16 @@
-"""Tests for TCP session tracking, reassembly and session generation."""
+"""Tests for TCP session generation and the reference session tracker."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import TcpStateError
 from repro.net.address import IPv4Address
+from repro.net.flow import FlowKey
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import (
+from repro.net.tcp import build_session
+from tests.oracles.tcp import (
     SessionTable,
-    StreamReassembler,
     TcpConnection,
     TcpState,
-    build_session,
+    TcpStateError,
 )
 
 C = IPv4Address("10.0.0.1")
@@ -144,67 +142,6 @@ class TestSessionTable:
             SessionTable(max_sessions=0)
 
 
-class TestStreamReassembler:
-    def test_in_order(self):
-        r = StreamReassembler(isn=100)
-        r.add(100, b"hello ")
-        r.add(106, b"world")
-        assert r.contiguous() == b"hello world"
-        assert not r.has_gap
-
-    def test_out_of_order(self):
-        r = StreamReassembler(isn=0)
-        r.add(5, b"world")
-        assert r.contiguous() == b""
-        assert r.has_gap
-        r.add(0, b"hello")
-        assert r.contiguous() == b"helloworld"
-        assert not r.has_gap
-
-    def test_duplicate_ignored(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"abc")
-        r.add(0, b"abc")
-        assert r.contiguous() == b"abc"
-
-    def test_partial_overlap_trimmed(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"abcd")
-        r.add(2, b"cdEF")
-        assert r.contiguous() == b"abcdEF"
-
-    def test_buffered_overlap_handled(self):
-        r = StreamReassembler(isn=0)
-        r.add(2, b"cdef")   # buffered with gap
-        r.add(0, b"abcd")   # fills gap, overlaps buffer
-        assert r.contiguous() == b"abcdef"
-
-    def test_buffer_limit_drops(self):
-        r = StreamReassembler(isn=0, max_buffer=4)
-        r.add(100, b"abcdef")  # too big to buffer
-        assert r.dropped_bytes == 6
-
-    def test_empty_payload_noop(self):
-        r = StreamReassembler(isn=0)
-        r.add(0, b"")
-        assert r.contiguous() == b""
-
-    @given(st.binary(min_size=1, max_size=400), st.randoms())
-    @settings(max_examples=50, deadline=None)
-    def test_property_any_arrival_order_reassembles(self, data, rnd):
-        chunks = []
-        pos = 0
-        while pos < len(data):
-            size = rnd.randint(1, 50)
-            chunks.append((pos, data[pos:pos + size]))
-            pos += size
-        rnd.shuffle(chunks)
-        r = StreamReassembler(isn=0)
-        for seq, chunk in chunks:
-            r.add(seq, chunk)
-        assert r.contiguous() == data
-
-
 class TestBuildSession:
     def test_session_establishes_and_closes(self):
         conn = TcpConnection(strict=True)
@@ -224,11 +161,56 @@ class TestBuildSession:
     def test_reassembly_of_generated_session(self):
         req = bytes(range(256)) * 7
         pkts = build_session(C, S, 1, 2, request=req, mss=100)
-        r = StreamReassembler(isn=1001)  # isn_client + 1
-        for p in pkts:
-            if p.src == C and p.payload:
-                r.add(p.seq, p.payload)
-        assert r.contiguous() == req
+        data = [p for p in pkts if p.src == C and p.payload]
+        # segments start at isn_client + 1 and each one's seq is where the
+        # previous one ended: no gap, no overlap
+        seq = 1001
+        for p in data:
+            assert p.seq == seq
+            seq += len(p.payload)
+        assert b"".join(p.payload for p in data) == req
+
+    def test_handshake_sequence_numbers(self):
+        syn, synack, ack = build_session(C, S, 1, 2, isn_client=70,
+                                         isn_server=900)[:3]
+        assert (syn.flags, syn.seq) == (TcpFlags.SYN, 70)
+        assert synack.flags == TcpFlags.SYN | TcpFlags.ACK
+        assert (synack.src, synack.seq, synack.ack) == (S, 900, 71)
+        assert (ack.flags, ack.seq, ack.ack) == (TcpFlags.ACK, 71, 901)
+
+    def test_response_segments_contiguous(self):
+        resp = b"r" * 250
+        pkts = build_session(C, S, 1, 2, request=b"q" * 30, response=resp,
+                             mss=100)
+        data = [p for p in pkts if p.src == S and p.payload]
+        assert [len(p.payload) for p in data] == [100, 100, 50]
+        seq = 5001
+        for p in data:
+            # every response segment acknowledges the whole request
+            assert (p.seq, p.ack) == (seq, 1001 + 30)
+            seq += len(p.payload)
+        assert b"".join(p.payload for p in data) == resp
+
+    def test_response_acknowledged_only_when_present(self):
+        with_resp = build_session(C, S, 1, 2, response=b"ok", teardown=False)
+        assert with_resp[-1].src == C
+        assert (with_resp[-1].flags, with_resp[-1].ack) == (TcpFlags.ACK,
+                                                            5001 + 2)
+        assert len(build_session(C, S, 1, 2, teardown=False)) == 3
+
+    def test_teardown_acknowledges_both_fins(self):
+        fin_c, fin_s, last = build_session(C, S, 1, 2, request=b"abc")[-3:]
+        assert fin_c.src == C and fin_c.has_flag(TcpFlags.FIN)
+        assert (fin_c.seq, fin_c.ack) == (1004, 5001)
+        assert fin_s.src == S and fin_s.has_flag(TcpFlags.FIN)
+        assert (fin_s.seq, fin_s.ack) == (5001, 1005)
+        assert (last.flags, last.seq, last.ack) == (TcpFlags.ACK, 1005, 5002)
+
+    def test_all_packets_share_one_flow(self):
+        pkts = build_session(C, S, 4321, 80, request=b"x" * 3000,
+                             response=b"y" * 3000)
+        assert all(p.proto is Protocol.TCP for p in pkts)
+        assert {FlowKey.of(p) for p in pkts} == {FlowKey.of(pkts[0])}
 
     def test_attack_id_propagates(self):
         pkts = build_session(C, S, 1, 2, request=b"evil", attack_id="exp-1")

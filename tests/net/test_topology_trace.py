@@ -78,14 +78,23 @@ class TestLanTestbed:
 
     def test_graph_structure(self):
         tb = LanTestbed(Engine(), n_hosts=3)
-        tb.add_span_tap(lambda p: None)
-        g = tb.graph()
-        assert g.has_edge("internet", "border")
-        assert g.has_edge("border", "switch")
-        hosts = [n for n, d in g.nodes(data=True) if d.get("kind") == "host"]
-        assert len(hosts) == 3
-        spans = [n for n, d in g.nodes(data=True) if d.get("kind") == "span"]
-        assert spans == ["span0"]
+        sink = []
+        span = tb.add_span_tap(sink.append)
+        # internet <-> border <-> switch
+        assert (tb.router.name, tb.switch.name) == ("border", "switch")
+        assert tb.router.wan_side is tb.wan_egress
+        assert tb.router.lan_side is tb.router_switch
+        assert tb.router_switch.sink == tb.switch.receive
+        assert tb.switch.default_route is tb.switch_router
+        assert tb.switch_router.sink == tb.router.receive_from_lan
+        # three hosts, each linked up to the switch
+        assert len(tb.hosts) == 3
+        for host in tb.hosts:
+            assert host.uplink.sink == tb.switch.receive
+            assert tb.host_by_address(host.address) is host
+        # one SPAN tap off the switch, at the configured mirror capacity
+        assert span.sink == sink.append
+        assert span.bandwidth_bps == tb.span_bandwidth_bps
 
     def test_bad_host_count(self):
         with pytest.raises(ConfigurationError):

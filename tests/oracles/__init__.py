@@ -13,5 +13,7 @@ with these, item for item.  Nothing under ``src/`` imports them.
 * :mod:`tests.oracles.trace` -- the v1 per-record trace codec and eager
   per-record replay scheduling;
 * :mod:`tests.oracles.load` -- load-probe traces and UDP floods built one
-  packet, and one scalar draw, at a time.
+  packet, and one scalar draw, at a time;
+* :mod:`tests.oracles.tcp` -- a passive RFC-793 connection tracker and a
+  bounded session table, which check that generated sessions are valid TCP.
 """

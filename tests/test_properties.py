@@ -10,9 +10,9 @@ from repro.ids.anomaly import AnomalyEngine
 from repro.net.address import IPv4Address
 from repro.net.link import Link
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import SessionTable
 from repro.net.trace import Trace
 from repro.sim.engine import Engine
+from tests.oracles.tcp import SessionTable
 
 A, B = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
 

@@ -6,13 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.address import IPv4Address, Subnet
 from repro.net.packet import Protocol
-from repro.net.tcp import SessionTable
 from repro.traffic.generators import (
     constant_rate_arrivals,
     onoff_arrivals,
     poisson_arrivals,
 )
 from repro.traffic.profiles import ClusterProfile, EcommerceProfile
+from tests.oracles.tcp import SessionTable
 
 
 @pytest.fixture
