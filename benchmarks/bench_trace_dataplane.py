@@ -53,6 +53,7 @@ import time
 
 import numpy as np
 
+from repro.eval import corpus as corpus_module
 from repro.eval.corpus import TraceCorpus
 from repro.eval.testbed import cluster_scenario
 from repro.eval.throughput import make_load_trace
@@ -91,6 +92,9 @@ def build_mix(packets: int, seed: int) -> Trace:
     stays monotone like in a real battery run.
     """
     nodes = [IPv4Address(f"10.0.0.{i}") for i in range(1, 9)]
+    # generate for real: drop the scenario the process-wide in-memory
+    # corpus kept from the previous pass
+    corpus_module._MEMORY.clear_memory()
     scenario = cluster_scenario(nodes, duration_s=60.0, seed=seed)
     scen = list(scenario.trace)[:max(2 * packets // 3, 1)]
 

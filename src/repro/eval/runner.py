@@ -96,8 +96,9 @@ class EvaluationOptions:
     fault_severities: Sequence[float] = (0.5, 1.0)
     #: process-pool width; 1 = serial in-process, 0 = one per CPU
     workers: int = 1
-    #: on-disk result cache directory; None disables memoization and the
-    #: shared trace corpus (``<cache_dir>/traces/``)
+    #: on-disk result cache directory, also the home of the trace
+    #: corpus's disk tier (``<cache_dir>/traces/``); None disables both,
+    #: leaving the corpus's in-memory tier
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

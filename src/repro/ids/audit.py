@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..net.packet import Packet, Protocol, TcpFlags
+from ..net.packet import PROTO_IDS, Packet, Protocol, TcpFlags
 
 __all__ = [
     "AuditEventType",
@@ -114,34 +114,47 @@ def _parse_cluster_command(payload: bytes) -> Optional[str]:
     return payload[12:28].rstrip(b"\x00").decode("ascii", errors="replace")
 
 
+# int codes for the per-packet SYN-without-ACK test
+_TCP = PROTO_IDS[Protocol.TCP]
+_SYN = int(TcpFlags.SYN)
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+
+
+def _event(pkt: Packet, now: float, etype: AuditEventType,
+           detail: str) -> AuditEvent:
+    return AuditEvent(time=now, etype=etype, subject=str(pkt.src),
+                      detail=detail, truth_attack_id=pkt.attack_id)
+
+
 def packet_to_events(pkt: Packet, now: float,
                      depth: frozenset = NOMINAL_EVENTS) -> List[AuditEvent]:
     """Derive the audit events a host would log for one delivered packet.
 
     ``depth`` selects the recorded event types (``NOMINAL_EVENTS`` or
-    ``C2_EVENTS``).
+    ``C2_EVENTS``).  Runs once per delivered packet, so the subject string
+    and the event are built only for what is recorded.
     """
     events: List[AuditEvent] = []
-    subject = str(pkt.src)
-    truth = pkt.attack_id
-
-    def add(etype: AuditEventType, detail: str) -> None:
-        if etype in depth:
-            events.append(AuditEvent(time=now, etype=etype, subject=subject,
-                                     detail=detail, truth_attack_id=truth))
-
     # connection establishment (TCP SYN toward this host)
-    if (pkt.proto is Protocol.TCP and pkt.has_flag(TcpFlags.SYN)
-            and not pkt.has_flag(TcpFlags.ACK)):
-        add(AuditEventType.CONNECTION, f"tcp connect to port {pkt.dport}")
+    if (pkt.proto_id == _TCP and pkt.flag_bits & _SYN_ACK == _SYN
+            and AuditEventType.CONNECTION in depth):
+        events.append(_event(pkt, now, AuditEventType.CONNECTION,
+                             f"tcp connect to port {pkt.dport}"))
 
     payload = pkt.payload
     if payload:
         if b"Login incorrect" in payload:
-            add(AuditEventType.LOGIN_FAILURE, "telnet login failure")
+            if AuditEventType.LOGIN_FAILURE in depth:
+                events.append(_event(pkt, now, AuditEventType.LOGIN_FAILURE,
+                                     "telnet login failure"))
         elif b"Last login" in payload:
-            add(AuditEventType.LOGIN_SUCCESS, "telnet login success")
-        command = _parse_cluster_command(payload)
-        if command is not None:
-            add(AuditEventType.COMMAND, command)
+            if AuditEventType.LOGIN_SUCCESS in depth:
+                events.append(_event(pkt, now, AuditEventType.LOGIN_SUCCESS,
+                                     "telnet login success"))
+        if (payload.startswith(_CLUSTER_MAGIC)
+                and AuditEventType.COMMAND in depth):
+            command = _parse_cluster_command(payload)
+            if command is not None:
+                events.append(_event(pkt, now, AuditEventType.COMMAND,
+                                     command))
     return events

@@ -235,16 +235,19 @@ class StaticPlacementBalancer(LoadBalancer):
 class HashBalancer(LoadBalancer):
     """Flow-hash spreading: canonical five-tuple hash modulo sensor count.
 
-    Both directions of a flow hash identically (the :class:`FlowKey` is
-    bidirectional), so TCP sessions stay on one sensor.
+    Both directions of a flow hash identically (the endpoints are ordered
+    as in :class:`FlowKey`), so TCP sessions stay on one sensor.
     """
 
     strategy = "flow-hash"
 
     def select(self, pkt: Packet) -> Sensor:
-        key = FlowKey.of(pkt)
-        h = hash((key.addr_lo.value, key.port_lo, key.addr_hi.value,
-                  key.port_hi, key.proto.value))
+        src, sport = pkt.src.value, pkt.sport
+        dst, dport = pkt.dst.value, pkt.dport
+        if src < dst or (src == dst and sport <= dport):
+            h = hash((src, sport, dst, dport, pkt.proto.value))
+        else:
+            h = hash((dst, dport, src, sport, pkt.proto.value))
         return self.sensors[h % len(self.sensors)]
 
 

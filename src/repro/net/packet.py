@@ -48,6 +48,10 @@ class Protocol(enum.Enum):
 #: packets carry the int mirror in ``Packet.proto_id``.
 PROTO_IDS = {proto: index for index, proto in enumerate(Protocol)}
 
+#: Ethernet + IP + transport header bytes, indexed by ``proto_id``.
+_HEADER_BYTES = tuple(ETHERNET_HEADER + IP_HEADER + proto.header_size
+                      for proto in Protocol)
+
 
 class TcpFlags(enum.IntFlag):
     """TCP control flags (subset relevant to session tracking)."""
@@ -172,7 +176,7 @@ class Packet:
     @property
     def wire_size(self) -> int:
         """Total on-the-wire bytes: Ethernet + IP + transport + payload."""
-        return ETHERNET_HEADER + IP_HEADER + self.proto.header_size + self._payload_len
+        return _HEADER_BYTES[self.proto_id] + self._payload_len
 
     @property
     def is_benign(self) -> bool:

@@ -466,29 +466,24 @@ class FaultInjector:
         }
         sensors = self._sensors
         counters["sensor_injected_failures"] = sum(
-            getattr(s, "injected_failures", 0) for s in sensors)
-        counters["sensor_dropped_down"] = sum(
-            getattr(s, "dropped_down", 0) for s in sensors)
+            s.injected_failures for s in sensors)
+        counters["sensor_dropped_down"] = sum(s.dropped_down for s in sensors)
         analyzers = self._analyzers
         counters["analyzer_dropped_down"] = sum(
-            getattr(a, "dropped_down", 0) for a in analyzers)
+            a.dropped_down for a in analyzers)
         counters["analyzer_stalled"] = sum(
-            getattr(a, "stalled_detections", 0) for a in analyzers)
-        counters["analyzer_shed"] = sum(
-            getattr(a, "shed_detections", 0) for a in analyzers)
+            a.stalled_detections for a in analyzers)
+        counters["analyzer_shed"] = sum(a.shed_detections for a in analyzers)
         balancer = self._balancer
         if balancer is not None:
-            counters["balancer_failovers"] = getattr(balancer, "failovers", 0)
-            counters["balancer_dropped_down"] = getattr(
-                balancer, "dropped_down", 0)
-            counters["balancer_shed_no_sensor"] = getattr(
-                balancer, "shed_no_sensor", 0)
-            counters["balancer_recoveries"] = getattr(
-                balancer, "recoveries", 0)
+            counters["balancer_failovers"] = balancer.failovers
+            counters["balancer_dropped_down"] = balancer.dropped_down
+            counters["balancer_shed_no_sensor"] = balancer.shed_no_sensor
+            counters["balancer_recoveries"] = balancer.recoveries
         monitor = self._monitor
         if monitor is not None:
-            counters["monitor_deferred_notifications"] = getattr(
-                monitor, "deferred_notifications", 0)
-            counters["monitor_suppressed_responses"] = getattr(
-                monitor, "suppressed_responses", 0)
+            counters["monitor_deferred_notifications"] = \
+                monitor.deferred_notifications
+            counters["monitor_suppressed_responses"] = \
+                monitor.suppressed_responses
         return counters

@@ -4,8 +4,8 @@ the ``clear-cache`` extension.
 The corpus is a pure execution optimization: a battery run with a warm
 corpus must produce results equal to a cold run, which must equal a run
 with no corpus at all.  Entries are content-keyed, corrupt entries are
-regenerated, and deactivating the corpus falls straight through to the
-generators.
+regenerated, and with no corpus active each trace is still generated once
+per process, in memory only.
 """
 
 import os
@@ -90,7 +90,7 @@ class TestTraceCorpus:
         nodes = [IPv4Address(f"10.9.1.{i}") for i in range(1, 5)]
 
         def build():
-            with use_corpus(None):    # build raw, uncached
+            with use_corpus(None):    # build without the disk tier
                 return cluster_scenario(nodes, duration_s=8.0, seed=3)
 
         cold = corpus.scenario("s", ("k",), build)
@@ -117,17 +117,21 @@ class TestAmbientActivation:
             assert active_corpus() is not None
         assert active_corpus() is None
 
-    def test_helpers_fall_through_when_inactive(self, tmp_path):
+    def test_helpers_memoize_in_memory_when_inactive(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)      # a relative write would land here
         built = []
 
         def build():
             built.append(1)
             return small_trace(b"x")
 
-        corpus_trace("t", ("k",), build)
-        corpus_trace("t", ("k",), build)
-        assert built == [1, 1]           # no corpus: no memoization
-        assert not os.listdir(tmp_path)
+        first = corpus_trace("t", ("k",), build)
+        again = corpus_trace("t", ("k",), build)
+        assert built == [1]              # no corpus: built once, in memory
+        assert again is first
+        assert active_corpus() is None
+        assert not os.listdir(tmp_path)  # and no file written anywhere
 
     def test_same_root_shares_one_instance(self, tmp_path):
         with use_corpus(str(tmp_path)):

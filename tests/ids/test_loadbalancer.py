@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.address import IPv4Address, Subnet
+from repro.net.flow import FlowKey
 from repro.net.packet import Packet, Protocol
 from repro.net.tcp import build_session
 from repro.ids.loadbalancer import (
@@ -120,6 +123,28 @@ class TestHashBalancer:
                           sport=int(rng.integers(1024, 65000))))
         eng.run()
         assert lb.balance_evenness() > 0.95
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=st.integers(0, 2**32 - 1), dst=st.integers(0, 2**32 - 1),
+           sport=st.integers(0, 65535), dport=st.integers(0, 65535),
+           proto=st.sampled_from(list(Protocol)),
+           n=st.integers(1, 7), same_addr=st.booleans())
+    def test_select_equals_flow_key_hash(self, src, dst, sport, dport,
+                                         proto, n, same_addr):
+        # the inline endpoint ordering hashes exactly the FlowKey.of tuple
+        if same_addr:
+            dst = src
+        eng = Engine()
+        sensors = make_sensors(eng, n)
+        lb = HashBalancer(eng, "lb", sensors)
+        for p in (Packet(src=IPv4Address(src), dst=IPv4Address(dst),
+                         sport=sport, dport=dport, proto=proto),
+                  Packet(src=IPv4Address(dst), dst=IPv4Address(src),
+                         sport=dport, dport=sport, proto=proto)):
+            key = FlowKey.of(p)
+            h = hash((key.addr_lo.value, key.port_lo, key.addr_hi.value,
+                      key.port_hi, key.proto.value))
+            assert lb.select(p) is sensors[h % n]
 
 
 class TestDynamicBalancer:

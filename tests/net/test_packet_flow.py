@@ -5,7 +5,8 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.address import IPv4Address
 from repro.net.flow import FlowKey
-from repro.net.packet import Packet, Protocol, TcpFlags
+from repro.net.packet import (ETHERNET_HEADER, IP_HEADER, Packet, Protocol,
+                               TcpFlags)
 
 A = IPv4Address("10.0.0.1")
 B = IPv4Address("10.0.0.2")
@@ -23,6 +24,16 @@ class TestPacket:
     def test_wire_size_udp_icmp(self):
         assert mk(proto=Protocol.UDP, payload_len=10).wire_size == 14 + 20 + 8 + 10
         assert mk(proto=Protocol.ICMP, sport=0, dport=0).wire_size == 14 + 20 + 8
+
+    @pytest.mark.parametrize("proto", list(Protocol), ids=lambda p: p.value)
+    def test_wire_size_equals_header_sum(self, proto):
+        # the per-proto_id header table against the enum property
+        for payload, payload_len in ((None, None), (None, 0), (None, 1460),
+                                     (b"", None), (b"abc", None),
+                                     (b"abc", 9000)):
+            p = mk(proto=proto, payload=payload, payload_len=payload_len)
+            assert p.wire_size == (ETHERNET_HEADER + IP_HEADER
+                                   + proto.header_size + p.payload_len)
 
     def test_logical_payload_without_bytes(self):
         p = mk(payload_len=5000)

@@ -16,4 +16,6 @@ with these, item for item.  Nothing under ``src/`` imports them.
   packet, and one scalar draw, at a time;
 * :mod:`tests.oracles.tcp` -- a passive RFC-793 connection tracker and a
   bounded session table, which check that generated sessions are valid TCP.
+* :mod:`tests.oracles.audit` -- host audit-event derivation that makes
+  every check, and builds the event subject, on every delivered packet.
 """

@@ -32,6 +32,12 @@ class FakeComponent:
     def __init__(self):
         self.up = True
         self.calls = []
+        # the degradation counters real components set in __init__
+        # (FaultInjector.degradation_counters reads them directly)
+        self.injected_failures = self.dropped_down = 0
+        self.stalled_detections = self.shed_detections = 0
+        self.failovers = self.recoveries = self.shed_no_sensor = 0
+        self.deferred_notifications = self.suppressed_responses = 0
 
     def force_fail(self):
         self.up = False
@@ -261,6 +267,23 @@ class TestInjector:
 # ----------------------------------------------------------------------
 # real component hooks
 # ----------------------------------------------------------------------
+class TestDegradationCounters:
+    def test_counters_read_from_a_deployed_product(self):
+        from repro.net.topology import LanTestbed
+        from repro.products import RealSecureProduct
+
+        eng = Engine()
+        dep = RealSecureProduct().deploy(eng, LanTestbed(eng, n_hosts=3))
+        inj = FaultInjector(eng, dep, named_plan("none"), duration_s=10.0)
+        counters = inj.degradation_counters()
+        assert counters["sensor_dropped_down"] == 0
+        assert counters["balancer_shed_no_sensor"] == 0
+        # a missing (e.g. renamed) counter raises instead of reading 0
+        del dep.sensors[0].dropped_down
+        with pytest.raises(AttributeError):
+            inj.degradation_counters()
+
+
 class TestAnalyzerHooks:
     def _det(self, t, cat="portscan"):
         return Detection(time=t, sensor="s0", category=cat,
